@@ -32,9 +32,9 @@ import argparse
 import json
 import platform
 import sys
-import time
 from pathlib import Path
 
+from ab_timing import ab_overhead
 from repro import faults
 from repro.spec.presets import preset
 from repro.spec.runner import SupervisionPolicy, SweepRunner
@@ -74,28 +74,13 @@ CASES = {
 }
 
 
-def _timed(fn, policy) -> float:
-    t0 = time.perf_counter()
-    fn(policy)
-    return time.perf_counter() - t0
-
-
 def run_case(fn, repeats: int) -> dict:
     """Interleaved best-of-N walls, supervised vs unsupervised."""
-    best = {"supervised": None, "unsupervised": None}
-    for _ in range(repeats):
-        for mode, policy in (
-            ("supervised", POLICY), ("unsupervised", None),
-        ):
-            wall = _timed(fn, policy)
-            if best[mode] is None or wall < best[mode]:
-                best[mode] = wall
-    overhead = best["supervised"] / best["unsupervised"] - 1.0
-    return {
-        "supervised_s": round(best["supervised"], 4),
-        "unsupervised_s": round(best["unsupervised"], 4),
-        "overhead": round(overhead, 4),
-    }
+    return ab_overhead(
+        ("supervised", lambda: fn(POLICY)),
+        ("unsupervised", lambda: fn(None)),
+        repeats,
+    )
 
 
 def run_benchmarks(repeats: int = 5) -> dict:

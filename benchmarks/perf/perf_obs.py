@@ -31,9 +31,9 @@ import argparse
 import json
 import platform
 import sys
-import time
 from pathlib import Path
 
+from ab_timing import ab_overhead
 from repro import obs
 from repro.spec.presets import preset
 from repro.spec.runner import SweepRunner
@@ -74,30 +74,23 @@ CASES = {
 }
 
 
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+def _with_obs(fn, enabled: bool):
+    def run() -> None:
+        previous = obs.set_obs_enabled(enabled)
+        try:
+            fn()
+        finally:
+            obs.set_obs_enabled(previous)
+    return run
 
 
 def run_case(fn, repeats: int) -> dict:
     """Interleaved best-of-N walls for ``fn`` with obs on and off."""
-    best = {"enabled": None, "disabled": None}
-    for _ in range(repeats):
-        for mode, enabled in (("enabled", True), ("disabled", False)):
-            previous = obs.set_obs_enabled(enabled)
-            try:
-                wall = _timed(fn)
-            finally:
-                obs.set_obs_enabled(previous)
-            if best[mode] is None or wall < best[mode]:
-                best[mode] = wall
-    overhead = best["enabled"] / best["disabled"] - 1.0
-    return {
-        "enabled_s": round(best["enabled"], 4),
-        "disabled_s": round(best["disabled"], 4),
-        "overhead": round(overhead, 4),
-    }
+    return ab_overhead(
+        ("enabled", _with_obs(fn, True)),
+        ("disabled", _with_obs(fn, False)),
+        repeats,
+    )
 
 
 def run_benchmarks(repeats: int = 5) -> dict:

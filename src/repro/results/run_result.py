@@ -15,7 +15,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -292,3 +292,46 @@ class RunResult:
     def columns(self) -> List[str]:
         """Override keys then the full registry column set."""
         return list(self.overrides) + result_columns()
+
+
+def run_point(
+    spec: Any,
+    overrides: Optional[Mapping[str, Any]] = None,
+    capture_traces: tuple = (),
+    max_trace_samples: int = MAX_TRACE_SAMPLES,
+    run: Optional[Callable[[], Any]] = None,
+) -> RunResult:
+    """Build and run one scenario point, and wrap the outcome.
+
+    Any exception becomes the point's error row (one bad point must not
+    kill a sweep).  ``run`` replaces the build-and-run step: a callable
+    returning the ``SystemRunResult`` of a system the caller already
+    built or drove.
+    """
+    try:
+        if run is None:
+            outcome = spec.build().run(spec.duration, decimate=spec.decimate)
+        else:
+            outcome = run()
+        return RunResult.from_system_run(
+            outcome,
+            spec,
+            overrides=overrides,
+            capture_traces=tuple(capture_traces),
+            max_trace_samples=max_trace_samples,
+        )
+    except Exception as error:
+        return failed_point(spec, overrides, error)
+
+
+def failed_point(
+    spec: Any, overrides: Optional[Mapping[str, Any]], error: Exception
+) -> RunResult:
+    """The error row of a point whose build or run raised ``error``."""
+    return RunResult.failed(
+        f"{type(error).__name__}: {error}",
+        spec_hash=spec_hash(spec),
+        name=spec.name,
+        overrides=overrides,
+        spec=spec,
+    )

@@ -23,7 +23,6 @@ would have printed locally.
 from __future__ import annotations
 
 import json
-import random
 import time
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 from urllib.error import HTTPError, URLError
@@ -31,6 +30,7 @@ from urllib.parse import urlencode
 from urllib.request import Request, urlopen
 
 from repro.errors import ReproError
+from repro.retry import backoff_delay
 
 
 class ServiceError(ReproError):
@@ -117,8 +117,9 @@ class ServiceClient:
                         + (f" (after {attempt + 1} attempts)"
                            if attempt else "")
                     ) from None
-                delay = min(self.backoff_cap_s, self.backoff_s * 2 ** attempt)
-                time.sleep(delay * (1.0 + 0.25 * random.random()))
+                time.sleep(backoff_delay(
+                    attempt + 1, self.backoff_s, self.backoff_cap_s
+                ))
 
     def _json(self, *args: Any, **kwargs: Any) -> Dict[str, Any]:
         with self._request(*args, **kwargs) as response:

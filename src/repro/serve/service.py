@@ -26,7 +26,6 @@ error rows exactly as sweeps always have.
 from __future__ import annotations
 
 import os
-import random
 import time
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -41,6 +40,7 @@ from repro.explore import (
     available_optimizers,
 )
 from repro.results.store import ResultStore
+from repro.retry import backoff_delay
 from repro.serve.jobs import JobRecord, JobStore
 from repro.serve.queue import JobQueue
 from repro.spec import ScenarioSpec, SweepRunner, preset, preset_names
@@ -413,10 +413,9 @@ class SimulationService:
                 if record.attempts <= record.max_retries and (
                     remaining is None or remaining > 0
                 ):
-                    retry_delay = min(
-                        _JOB_RETRY_CAP_S,
-                        _JOB_RETRY_BASE_S * 2 ** (record.attempts - 1),
-                    ) * (1.0 + 0.25 * random.random())
+                    retry_delay = backoff_delay(
+                        record.attempts, _JOB_RETRY_BASE_S, _JOB_RETRY_CAP_S
+                    )
                     if remaining is not None:
                         retry_delay = min(retry_delay, remaining)
                 else:

@@ -12,8 +12,8 @@ Exactness: the C body performs the same IEEE-754 double operations in
 the same order as the Python loop (CPython floats are C doubles), and
 the build disables contraction (``-ffp-contract=off -fno-fast-math``)
 so no fused multiply-add can perturb a rounding.  A self-check at load
-time replays a small scenario against a Python reference and discards
-the library on any bit difference.
+time replays a small scenario through ``_chunk_loop_simple`` itself on
+a real rail and discards the library on any bit difference.
 
 Everything degrades gracefully: no compiler, a failed build, a failed
 self-check, or ``REPRO_BATCH_CKERNEL=0`` simply leave the numpy pass in
@@ -313,50 +313,19 @@ def _bind(so_path: str):
     return fn
 
 
-def _reference_lane(values, v, C, vm, dp, rt, ed, vr, vf, dtv, n):
-    """Python-float replay of the scalar loop (the exactness oracle)."""
-    import math
-
-    half_c = 0.5 * C
-    hv = co = st = 0.0
-    out = []
-    i = 0
-    while i < n:
-        head = values[i] - v - dp
-        if head > 0.0:
-            before = half_c * v * v
-            vn = v + (head / rt * dtv) / C
-            if vn > vm:
-                vn = vm
-            dh = half_c * vn * vn - before
-        else:
-            vn = v
-            dh = 0.0
-        if vn >= vr or vn < vf:
-            break
-        avail = half_c * vn * vn
-        if ed >= avail:
-            vn = 0.0
-            delivered = avail
-        else:
-            vn = math.sqrt(2.0 * (avail - ed) / C)
-            delivered = ed
-        hv += dh
-        co += delivered
-        st += ed - delivered
-        v = vn
-        out.append(v)
-        i += 1
-    return i, v, hv, co, st, out
-
-
 def _self_check(fn) -> bool:
     """Replay a tiny mixed scenario and demand bit-identical results.
 
-    The case exercises every branch: charging, the v_max clamp, a
-    starved step, a non-charging step, and an event boundary on one
-    lane while the other runs to horizon.
+    The oracle is :meth:`SupplyRail._chunk_loop_simple` itself, run on a
+    real rail per lane with the same parameters.  The case exercises
+    every branch: charging, the v_max clamp, a starved step, a
+    non-charging step, and an event boundary on one lane while the
+    others run to horizon.
     """
+    from repro.power.rail import SupplyRail
+    from repro.sim.kernel import LoadProfile, VoltageSourcePlan
+    from repro.storage.capacitor import Capacitor
+
     n = 40
     steps = np.arange(n, dtype=float)
     plan = np.ascontiguousarray(
@@ -382,16 +351,23 @@ def _self_check(fn) -> bool:
     fn(m, ptrs, horizons, v, cap, vmx, drp, rt, ed, vr, vf, dt,
        hv, co, st, vcc, stride, taken)
     values = plan.tolist()
-    for lane in range(m):
-        ri, rv, rhv, rco, rst, rout = _reference_lane(
-            values, *params[lane], n
+    for lane, (v0, C, v_max, drop, r_total, e_dem, v_rise, v_fall,
+               step) in enumerate(params):
+        rail = SupplyRail(Capacitor(C, v_max=v_max, v_initial=v0))
+        physics = rail.storage.chunk_physics()
+        ri, _ = rail._chunk_loop_simple(
+            physics,
+            VoltageSourcePlan(values=values, drop=drop, r_total=r_total),
+            LoadProfile(energy=e_dem, v_rising=v_rise, v_falling=v_fall),
+            v0, step, n,
         )
-        if int(taken[lane]) != ri:
+        ledger = rail.stats
+        if int(taken[lane]) != ri or physics.read_voltage() != v[lane]:
             return False
-        if (rv != v[lane] or rhv != hv[lane] or rco != co[lane]
-                or rst != st[lane]):
+        if (ledger.harvested != hv[lane] or ledger.consumed != co[lane]
+                or ledger.starved != st[lane]):
             return False
-        if rout and list(vcc[lane, :ri]) != rout:
+        if list(vcc[lane, :ri]) != rail._chunk_vcc:
             return False
     return True
 

@@ -11,29 +11,31 @@ configuration.
 
 Execution model (see DESIGN.md, "Batched SoA kernel"):
 
-* Each member is a **lane**: its own built system, simulator, rail and
-  platform, plus the per-lane scalars the array passes need (capacitor
-  physics, precomputed source-plan arrays, the last startable step).
+* A member becomes a **lane** only when its built rail has the simple
+  shape :meth:`SupplyRail.step_chunk` sends to ``_chunk_loop_simple``:
+  one rectified voltage source, one load, and an ideal capacitor (no
+  leak, draw overhead 1.0).  A lane holds its own built system,
+  simulator, rail and platform, plus the per-lane scalars the array
+  pass needs (capacitor physics, the precomputed source plan, the last
+  startable step).  Every other member — a bleed resistor beside the
+  platform, a leaky store, a power-domain harvester — runs the solo
+  fast path on the system already built and counts as ``diverged``.
 * A **round** gathers every runnable lane's current regime — exactly the
-  same :meth:`~repro.power.rail.RailLoad.load_profile` /
-  source-plan protocol the per-scenario fast kernel uses — groups lanes
-  whose regimes have the same shape, and advances each group through one
-  masked **array pass**.  Per-step arithmetic inside a pass replicates
-  the scalar chunk loops of :class:`~repro.power.rail.SupplyRail`
-  operation for operation, so the committed voltage sequence is
-  bit-identical to a per-scenario fast run (chunk partitioning cannot
-  change a pure per-step recurrence).
+  same :meth:`~repro.power.rail.RailLoad.load_profile` protocol the
+  per-scenario fast kernel uses — and advances every lane whose regime
+  is a constant per-step energy through one masked **array pass**.
+  Per-step arithmetic inside a pass replicates
+  :meth:`SupplyRail._chunk_loop_simple` operation for operation, so the
+  committed voltage sequence is bit-identical to a per-scenario fast run
+  (chunk partitioning cannot change a pure per-step recurrence).
 * Per-lane event boundaries (boot/wake/brownout/active-guard voltage
   crossings, snapshot/restore countdowns via ``max_steps``) freeze the
   lane inside the pass at exactly the step the scalar loop would have
   broken on; the boundary step then settles scalar-side through the
   unmodified reference path and the lane re-enters the next round.
-* Lanes whose regime cannot be vectorized degrade gracefully: a lane in
-  a one-member group advances through the ordinary scalar
-  :meth:`~repro.power.rail.SupplyRail.step_chunk`; a lane whose sources
-  cannot publish array plans at all (MPPT trackers, converter-fronted
-  power sources, stateful harvesters) runs the entire scenario through
-  the untouched per-scenario path.
+* A lane whose regime has a current or resistive term, or whose pass
+  group is too small to pay for array dispatch, advances through the
+  ordinary scalar :meth:`~repro.power.rail.SupplyRail.step_chunk`.
 
 Exactness contract: the vcc trace and every event step index are
 bit-identical to per-scenario fast runs.  Scalar metric accumulators
@@ -44,18 +46,24 @@ tolerance (~1e-12 relative), exactly as fast-vs-reference already does.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro import degrade, obs
-from repro.power.rail import HarvesterInjector, RectifiedInjector, SupplyRail
-from repro.results.run_result import MAX_TRACE_SAMPLES, RunResult, spec_hash
+from repro.power.rail import RectifiedInjector, SupplyRail
+from repro.results.run_result import (
+    MAX_TRACE_SAMPLES,
+    RunResult,
+    failed_point,
+    run_point,
+)
 from repro.sim import _ckernel
-from repro.sim.engine import _MAX_BACKOFF, _MIN_CHUNK
+from repro.sim.engine import _MAX_BACKOFF
 from repro.spec.specs import ScenarioSpec
 
 #: Hard cap on steps per array pass (bounds the per-pass vcc matrix and
@@ -116,8 +124,9 @@ class BatchStats:
         passes: array passes executed.
         advanced: member-steps advanced through array passes.
         settled: member-steps settled through the scalar reference path.
-        diverged: members that left array execution for the per-scenario
-            fast kernel (ineligible sources or a drained batch).
+        diverged: members that ran on the per-scenario fast kernel
+            instead: members without the simple rail shape, and lanes
+            left over when the batch drained.
     """
 
     members: int = 0
@@ -190,15 +199,14 @@ class _PlanCache:
         self._plans: Dict[str, np.ndarray] = {}
 
     @staticmethod
-    def key(spec: ScenarioSpec, index: int, variant: str) -> str:
+    def key(spec: ScenarioSpec, index: int, take_abs: bool) -> str:
         """Cache key for one harvester's plan.
 
-        ``source_resistance`` is excluded: an open-circuit voltage (or
-        harvested power) waveform is by definition independent of the
-        source's Thevenin resistance, so a resistance sweep shares one
-        plan.  ``variant`` marks what the stored array holds ('p' for
-        power, 'v'/'v-abs' for plain/rectified voltage) so the same
-        harvester behind different rectifiers cannot alias.
+        ``source_resistance`` is excluded: an open-circuit voltage
+        waveform is by definition independent of the source's Thevenin
+        resistance, so a resistance sweep shares one plan.  ``take_abs``
+        marks a rectified plan, so the same harvester behind different
+        rectifiers cannot alias.
         """
         entry = spec.harvesters[index]
         params = dict(spec._harvester_params(index, entry))
@@ -208,7 +216,7 @@ class _PlanCache:
                 "kind": entry.kind,
                 "params": params,
                 "dt": spec.dt,
-                "variant": variant,
+                "variant": "v-abs" if take_abs else "v",
             },
             sort_keys=True,
             default=str,
@@ -228,36 +236,14 @@ class _PlanCache:
             self._plans[key] = plan
         return plan
 
-    def power_values(
-        self, key: str, injector: HarvesterInjector, dt: float, steps: int
-    ) -> np.ndarray:
-        plan = self._plans.get(key)
-        if plan is None or len(plan) < steps:
-            times = np.arange(0, steps) * dt
-            plan = np.asarray(
-                injector.harvester.power_array(times), dtype=float
-            )
-            self._plans[key] = plan
-        return plan
-
-
-@dataclass
-class _Source:
-    """One injector's array-pass descriptor (full-horizon values)."""
-
-    kind: str  # 'v' (rectified voltage source) or 'p' (power source)
-    values: np.ndarray
-    drop: float = 0.0
-    r_total: float = 1.0
-
 
 class _Lane:
     """One batch member: a built system plus its array-pass state."""
 
     __slots__ = (
         "index", "spec", "overrides", "system", "sim", "rail", "platform",
-        "physics", "s_max", "dt", "sources", "leak", "overhead",
-        "done", "stopped_early", "pending_scalar", "backoff", "error",
+        "physics", "s_max", "dt", "plan", "drop", "r_total",
+        "done", "pending_scalar", "backoff",
     )
 
     def __init__(self, index: int, spec: ScenarioSpec,
@@ -272,14 +258,12 @@ class _Lane:
         self.physics = None
         self.s_max = -1
         self.dt = spec.dt
-        self.sources: List[_Source] = []
-        self.leak: Optional[float] = None
-        self.overhead = 1.0
+        self.plan: Optional[np.ndarray] = None
+        self.drop = 0.0
+        self.r_total = 1.0
         self.done = False
-        self.stopped_early = False
         self.pending_scalar = 0
         self.backoff = 0
-        self.error: Optional[str] = None
 
 
 @dataclass
@@ -289,7 +273,7 @@ class _Gathered:
     lane: _Lane
     v: float
     horizon: int
-    profiles: List[Any] = field(default_factory=list)
+    profile: Any
 
 
 def _build_lane(index: int, spec: ScenarioSpec,
@@ -307,76 +291,53 @@ def _build_lane(index: int, spec: ScenarioSpec,
     return lane
 
 
-def _lane_chunkable(lane: _Lane) -> bool:
-    """Mirror of the solo fast kernel's chunk-engagement predicate."""
-    sim = lane.sim
-    if lane.spec.kernel != "fast" or lane.rail is None:
-        return False
-    if len(sim._components) != 1 or sim._components[0] is not lane.rail:
-        return False
-    if not sim._recorder.chunk_capable():
-        return False
-    if sim._has_unchunkable_conditions:
-        return False
-    physics = lane.rail.storage.chunk_physics()
-    if physics is None:
-        return False
-    lane.physics = physics
-    lane.leak = physics.leak_factor(lane.dt)
-    lane.overhead = physics.draw_overhead
-    return True
+def _lane_simple(lane: _Lane, cache: _PlanCache) -> bool:
+    """Whether a built member can join the simple pass.
 
-
-def _lane_vectorizable(lane: _Lane, cache: _PlanCache) -> bool:
-    """Resolve every injector to a full-horizon array plan, or fail.
-
-    The eligibility predicates mirror the injectors' own ``chunk_plan``
-    guards; a converter-fronted power source additionally disqualifies
-    the lane (``ConversionStage.output_power`` is per-step Python), as
-    does any injector outside the two standard classes.
+    The member's rail must chunk under the solo fast kernel (the rail is
+    the simulator's only component, every probe bulk-samples, no stop
+    condition needs per-step observation) and have the simple shape:
+    one :class:`RectifiedInjector` whose ``chunk_plan`` would publish a
+    plan, one load, and capacitor physics with no leak and a draw
+    overhead of 1.0.  On success the lane's full-horizon source plan is
+    resolved from ``cache``.
     """
+    sim = lane.sim
     rail = lane.rail
-    total_steps = lane.s_max + 1
-    if total_steps <= 0:
-        return True  # zero-step run: trivially fine
-    sources: List[_Source] = []
-    for position, injector in enumerate(rail._injectors):
-        if isinstance(injector, RectifiedInjector):
-            if type(injector).inject is not RectifiedInjector.inject:
-                return False
-            if not injector.harvester.chunk_safe():
-                return False
-            chunk_params = getattr(injector.rectifier, "chunk_params", None)
-            params = (
-                chunk_params(injector.harvester.source_resistance)
-                if chunk_params is not None
-                else None
-            )
-            if params is None:
-                return False
-            drop, r_total, take_abs = params
-            key = cache.key(
-                lane.spec, position, "v-abs" if take_abs else "v"
-            )
-            values = cache.voltage_values(
-                key, injector, take_abs, lane.dt, total_steps
-            )
-            sources.append(
-                _Source("v", values, drop=drop, r_total=r_total)
-            )
-        elif isinstance(injector, HarvesterInjector):
-            if type(injector).inject is not HarvesterInjector.inject:
-                return False
-            if injector.mppt is not None or injector.converter is not None:
-                return False
-            if not injector.harvester.chunk_safe():
-                return False
-            key = cache.key(lane.spec, position, "p")
-            values = cache.power_values(key, injector, lane.dt, total_steps)
-            sources.append(_Source("p", values))
-        else:
-            return False
-    lane.sources = sources
+    if len(sim._components) != 1 or sim._components[0] is not rail:
+        return False
+    if not sim._recorder.chunk_capable() or sim._has_unchunkable_conditions:
+        return False
+    physics = rail.storage.chunk_physics()
+    if (
+        physics is None
+        or physics.leak_tau is not None
+        or physics.draw_overhead != 1.0
+    ):
+        return False
+    if len(rail._loads) != 1 or len(rail._injectors) != 1:
+        return False
+    injector = rail._injectors[0]
+    if (
+        not isinstance(injector, RectifiedInjector)
+        or type(injector).inject is not RectifiedInjector.inject
+        or not injector.harvester.chunk_safe()
+    ):
+        return False
+    chunk_params = getattr(injector.rectifier, "chunk_params", None)
+    params = (
+        chunk_params(injector.harvester.source_resistance)
+        if chunk_params is not None
+        else None
+    )
+    if params is None:
+        return False
+    lane.drop, lane.r_total, take_abs = params
+    lane.physics = physics
+    lane.plan = cache.voltage_values(
+        cache.key(lane.spec, 0, take_abs), injector, take_abs, lane.dt,
+        lane.s_max + 1,
+    )
     return True
 
 
@@ -384,10 +345,9 @@ def _check_lane_stopped(lane: _Lane) -> None:
     """Post-advance bookkeeping shared by every execution path."""
     sim = lane.sim
     conditions = sim._stop_conditions
-    if conditions and any(cond(sim.t) for cond in conditions):
-        lane.done = True
-        lane.stopped_early = True
-    elif sim.steps > lane.s_max:
+    if sim.steps > lane.s_max or (
+        conditions and any(cond(sim.t) for cond in conditions)
+    ):
         lane.done = True
 
 
@@ -405,7 +365,6 @@ def _run_scalar_steps(lane: _Lane, count: int, stats: BatchStats) -> None:
         conditions = sim._stop_conditions
         if conditions and any(cond(sim.t) for cond in conditions):
             lane.done = True
-            lane.stopped_early = True
             return
     if sim.steps > lane.s_max:
         lane.done = True
@@ -437,67 +396,28 @@ def _advance_chunk_scalar(lane: _Lane, stats: BatchStats) -> None:
 
 
 def _finish_solo(lane: _Lane, stats: BatchStats) -> None:
-    """Run a lane to completion through the per-scenario fast schedule.
+    """Run a lane to completion on its simulator's own fast loop.
 
-    Identical results to :meth:`Simulator._run_fast` continuing from the
-    lane's current state: the grow/backoff schedule only changes which
-    steps chunk, never their arithmetic.
+    The loop continues from the lane's current state; its grow/backoff
+    schedule only changes which steps chunk, never their arithmetic.
     """
-    sim = lane.sim
-    rail = lane.rail
-    dt = sim.dt
-    chunk_stats = sim.chunk_stats
-    conditions = sim._stop_conditions
-    grow = _MIN_CHUNK
-    skip = 0
-    backoff = 0
-    chunkable = lane.physics is not None
-    while not lane.done:
-        if sim.steps > lane.s_max:
-            lane.done = True
-            return
-        taken = 0
-        if chunkable and skip == 0:
-            n = min(grow, sim.chunk_size, lane.s_max - sim.steps + 1)
-            if n > 1:
-                taken = rail.step_chunk(sim.t, dt, n)
-                if taken:
-                    backoff = 0
-                    grow = (
-                        min(2 * n, sim.chunk_size)
-                        if taken == n
-                        else _MIN_CHUNK
-                    )
-                    chunk_stats.chunks += 1
-                    chunk_stats.chunked_steps += taken
-                    first = sim.steps + 1
-                    sim.steps += taken
-                    sim.t = sim.steps * dt
-                    sim._recorder.sample_chunk(first, taken, dt)
-                    stats.advanced += taken
-                else:
-                    backoff = min(2 * backoff, _MAX_BACKOFF) if backoff else 1
-                    skip = backoff
-        elif skip:
-            skip -= 1
-        if taken == 0:
-            chunk_stats.fallback_steps += 1
-            sim.step()
-            stats.settled += 1
-        if conditions and any(cond(sim.t) for cond in conditions):
-            lane.done = True
-            lane.stopped_early = True
-            return
+    chunk_stats = lane.sim.chunk_stats
+    chunked0 = chunk_stats.chunked_steps
+    fallback0 = chunk_stats.fallback_steps
+    lane.sim._run_fast(lane.spec.duration, None, lane.sim.steps)
+    lane.done = True
+    stats.advanced += chunk_stats.chunked_steps - chunked0
+    stats.settled += chunk_stats.fallback_steps - fallback0
 
 
 def _gather(lane: _Lane) -> Optional[_Gathered]:
     """One lane's regime for the next pass, or None to settle scalar-side.
 
-    Mirrors :meth:`SupplyRail.step_chunk`'s gather phase: fresh load
-    profiles at the present voltage, the horizon bounded by every
-    profile's ``max_steps`` and the last startable step.  Source windows
-    come from the lane's precomputed full-horizon arrays instead of
-    per-chunk ``chunk_plan`` calls.
+    Mirrors :meth:`SupplyRail.step_chunk`'s gather phase: a fresh load
+    profile at the present voltage, the horizon bounded by its
+    ``max_steps`` and the last startable step.  The source window comes
+    from the lane's precomputed full-horizon plan instead of a
+    per-chunk ``chunk_plan`` call.
     """
     sim = lane.sim
     remaining = lane.s_max - sim.steps + 1
@@ -505,97 +425,15 @@ def _gather(lane: _Lane) -> Optional[_Gathered]:
         lane.done = True
         return None
     v = lane.physics.read_voltage()
-    t0 = sim.t
-    dt = sim.dt
-    horizon = remaining
-    profiles = []
-    for load in lane.rail._loads:
-        profile = load.load_profile(t0, dt, v)
-        if profile is None:
-            return None
-        if profile.max_steps is not None:
-            if profile.max_steps <= 0:
-                return None
-            horizon = min(horizon, profile.max_steps)
-        profiles.append(profile)
-    if horizon < 1:
+    profile = lane.rail._loads[0].load_profile(sim.t, sim.dt, v)
+    if profile is None:
         return None
-    return _Gathered(lane=lane, v=v, horizon=horizon, profiles=profiles)
-
-
-def _group_key(gathered: _Gathered) -> Tuple:
-    """The pass-group a gathered lane joins.
-
-    ``('s',)`` is the simple-loop shape (single rectified source, single
-    constant-energy load, ideal capacitor) — classified with exactly the
-    predicate :meth:`SupplyRail.step_chunk` uses, so the committed
-    per-load energies follow the same accumulation as the scalar kernel.
-    A load profile mixing a resistive and a current-like term falls back
-    to the scalar chunk loop (``('c', ...)``: a one-lane group).
-    """
-    lane = gathered.lane
-    profiles = gathered.profiles
-    for profile in profiles:
-        if profile.resistance is not None and profile.current != 0.0:
-            return ("c", lane.index)
-    if (
-        len(lane.sources) == 1
-        and lane.sources[0].kind == "v"
-        and len(profiles) == 1
-        and profiles[0].resistance is None
-        and profiles[0].current == 0.0
-        and lane.leak is None
-        and lane.overhead == 1.0
-    ):
-        return ("s",)
-    kinds = tuple(source.kind for source in lane.sources)
-    return ("g", kinds, len(profiles))
-
-
-def _commit_lane(
-    lane: _Lane,
-    gathered: _Gathered,
-    taken: int,
-    v_final: float,
-    ledger: Dict[str, float],
-    esums: Sequence[float],
-    vcc: np.ndarray,
-    evented: bool,
-    stats: BatchStats,
-) -> None:
-    """Fold one lane's pass outcome back into its live system.
-
-    Mirrors the commit the solo fast kernel performs after
-    ``step_chunk``: voltage write-back, stats ledger, per-load commits,
-    probe bulk-sampling, then the stop-condition / end-of-run checks.
-    """
-    sim = lane.sim
-    dt = sim.dt
-    if taken > 0:
-        lane.physics.write_voltage(v_final)
-        rail_stats = lane.rail.stats
-        rail_stats.harvested = ledger["harvested"]
-        rail_stats.consumed = ledger["consumed"]
-        rail_stats.starved = ledger["starved"]
-        if "leaked" in ledger:
-            rail_stats.leaked = ledger["leaked"]
-        lane.rail._chunk_vcc = vcc
-        for profile, esum in zip(gathered.profiles, esums):
-            if profile.commit is not None:
-                profile.commit(taken, dt, esum)
-        chunk_stats = sim.chunk_stats
-        chunk_stats.chunks += 1
-        chunk_stats.chunked_steps += taken
-        first = sim.steps + 1
-        sim.steps += taken
-        sim.t = sim.steps * dt
-        sim._recorder.sample_chunk(first, taken, dt)
-        stats.advanced += taken
-    _check_lane_stopped(lane)
-    if not lane.done and evented:
-        # The boundary step itself must execute through the reference
-        # path — exactly as the solo kernel's failed-attempt fallback.
-        lane.pending_scalar = max(lane.pending_scalar, 1)
+    horizon = remaining
+    if profile.max_steps is not None:
+        if profile.max_steps <= 0:
+            return None
+        horizon = min(horizon, profile.max_steps)
+    return _Gathered(lane=lane, v=v, horizon=horizon, profile=profile)
 
 
 def _pass_order(members: List[_Gathered]) -> None:
@@ -604,18 +442,11 @@ def _pass_order(members: List[_Gathered]) -> None:
     independently).  Runs of identical (plan, start) then fill their
     window columns with one broadcast slice each instead of M strided
     column writes."""
-    members.sort(
-        key=lambda g: (
-            tuple(id(source.values) for source in g.lane.sources),
-            g.lane.sim.steps,
-        )
-    )
+    members.sort(key=lambda g: (id(g.lane.plan), g.lane.sim.steps))
 
 
-def _source_windows(
-    members: Sequence[_Gathered], source_index: int, pass_n: int,
-) -> np.ndarray:
-    """The ``[pass_n, M]`` value matrix for one source position.
+def _source_windows(members: Sequence[_Gathered], pass_n: int) -> np.ndarray:
+    """The ``[pass_n, M]`` source-value matrix of a pass.
 
     Members must be in :func:`_pass_order`; each run of lanes sharing a
     plan array and step position fills as one broadcast column block.
@@ -627,12 +458,12 @@ def _source_windows(
     begin = 0
     while begin < m_count:
         lane = members[begin].lane
-        plan = lane.sources[source_index].values
+        plan = lane.plan
         start = lane.sim.steps
         end = begin + 1
         while (
             end < m_count
-            and members[end].lane.sources[source_index].values is plan
+            and members[end].lane.plan is plan
             and members[end].lane.sim.steps == start
         ):
             end += 1
@@ -653,7 +484,7 @@ def _compiled_windows(
     """
     ptrs = np.empty(len(lanes), dtype=np.uintp)
     for m, lane in enumerate(lanes):
-        plan = lane.sources[0].values
+        plan = lane.plan
         if (
             not isinstance(plan, np.ndarray)
             or plan.dtype != np.float64
@@ -679,24 +510,42 @@ def _commit_pass(
     vcc: np.ndarray,
     stats: BatchStats,
 ) -> None:
-    """Fold a finished simple pass back into every member lane."""
+    """Fold a finished pass back into every member lane.
+
+    Mirrors the commit the solo fast kernel performs after
+    ``step_chunk``: voltage write-back, stats ledger, the load's
+    commit, probe bulk-sampling, then the stop-condition / end-of-run
+    checks.
+    """
     for m, gathered in enumerate(members):
+        lane = gathered.lane
+        sim = lane.sim
+        dt = sim.dt
         steps_taken = int(taken[m])
-        _commit_lane(
-            gathered.lane,
-            gathered,
-            steps_taken,
-            float(v[m]),
-            {
-                "harvested": float(harvested[m]),
-                "consumed": float(consumed[m]),
-                "starved": float(starved[m]),
-            },
-            [steps_taken * e_dem_py[m]],
-            vcc[m, :steps_taken],
-            evented=steps_taken < int(horizons[m]),
-            stats=stats,
-        )
+        if steps_taken > 0:
+            lane.physics.write_voltage(float(v[m]))
+            rail_stats = lane.rail.stats
+            rail_stats.harvested = float(harvested[m])
+            rail_stats.consumed = float(consumed[m])
+            rail_stats.starved = float(starved[m])
+            lane.rail._chunk_vcc = vcc[m, :steps_taken]
+            commit = gathered.profile.commit
+            if commit is not None:
+                commit(steps_taken, dt, steps_taken * e_dem_py[m])
+            chunk_stats = sim.chunk_stats
+            chunk_stats.chunks += 1
+            chunk_stats.chunked_steps += steps_taken
+            first = sim.steps + 1
+            sim.steps += steps_taken
+            sim.t = sim.steps * dt
+            sim._recorder.sample_chunk(first, steps_taken, dt)
+            stats.advanced += steps_taken
+        _check_lane_stopped(lane)
+        if not lane.done and steps_taken < int(horizons[m]):
+            # The boundary step itself must execute through the
+            # reference path — exactly as the solo kernel's
+            # failed-attempt fallback.
+            lane.pending_scalar = max(lane.pending_scalar, 1)
     stats.passes += 1
 
 
@@ -720,19 +569,14 @@ def _simple_pass(members: List[_Gathered], stats: BatchStats) -> None:
     cap = np.array([lane.physics.capacitance for lane in lanes], dtype=float)
     half_c = 0.5 * cap
     v_max = np.array([lane.physics.v_max for lane in lanes], dtype=float)
-    drop = np.array([lane.sources[0].drop for lane in lanes], dtype=float)
-    r_total = np.array(
-        [lane.sources[0].r_total for lane in lanes], dtype=float
-    )
+    drop = np.array([lane.drop for lane in lanes], dtype=float)
+    r_total = np.array([lane.r_total for lane in lanes], dtype=float)
     # Per-step demand precombined in Python floats, exactly as the
     # scalar loop computes its local e_dem.
-    e_dem_py = [
-        g.profiles[0].power * g.lane.dt + g.profiles[0].energy
-        for g in members
-    ]
+    e_dem_py = [g.profile.power * g.lane.dt + g.profile.energy for g in members]
     e_dem = np.array(e_dem_py, dtype=float)
-    v_rise = np.array([g.profiles[0].v_rising for g in members], dtype=float)
-    v_fall = np.array([g.profiles[0].v_falling for g in members], dtype=float)
+    v_rise = np.array([g.profile.v_rising for g in members], dtype=float)
+    v_fall = np.array([g.profile.v_falling for g in members], dtype=float)
     has_fall = bool(np.isfinite(v_fall).any())
     harvested = np.array(
         [lane.rail.stats.harvested for lane in lanes], dtype=float
@@ -780,16 +624,15 @@ def _simple_pass(members: List[_Gathered], stats: BatchStats) -> None:
     # window of the shared plan and broadcasts each scalar across the
     # batch — skipping the [pass_n, M] matrix build entirely.  Values
     # are identical either way (same array, same indices).
-    plan0 = lanes[0].sources[0].values
+    plan0 = lanes[0].plan
     start0 = lanes[0].sim.steps
     if all(
-        lane.sources[0].values is plan0 and lane.sim.steps == start0
-        for lane in lanes
+        lane.plan is plan0 and lane.sim.steps == start0 for lane in lanes
     ):
         # Python-float rows: the fastest scalar ufunc operand path.
         vals = plan0[start0:start0 + pass_n].tolist()
     else:
-        vals = _source_windows(members, 0, pass_n)
+        vals = _source_windows(members, pass_n)
     # Parameters every lane agrees on collapse to Python-float operands
     # (bit-identical arithmetic, one array read per step less; grid
     # sweeps usually vary only an axis or two).
@@ -988,257 +831,16 @@ def _simple_pass(members: List[_Gathered], stats: BatchStats) -> None:
                  starved, e_dem_py, vcc, stats)
 
 
-def _general_pass(members: List[_Gathered], stats: BatchStats) -> None:
-    """Vectorized counterpart of :meth:`SupplyRail._chunk_loop`.
-
-    Handles any mix of rectified/power sources, multiple loads, leakage
-    and ESR draw overhead.  Every lane in the group shares the source
-    kind sequence and load count; all other parameters are per-lane
-    arrays.  Operation order per step matches the scalar loop so every
-    committed step is bit-identical.
-    """
-    obs.counter("repro_batch_pass_path_total", path="numpy-general").inc()
-    _pass_order(members)
-    m_count = len(members)
-    lanes = [g.lane for g in members]
-    n_sources = len(lanes[0].sources)
-    n_loads = len(members[0].profiles)
-    cap_n = _pass_cap(m_count)
-    horizons = np.array(
-        [min(g.horizon, cap_n) for g in members], dtype=np.int64
-    )
-    pass_n = int(horizons.max())
-    dt_arr = np.array([lane.dt for lane in lanes], dtype=float)
-    v = np.array([g.v for g in members], dtype=float)
-    cap = np.array([lane.physics.capacitance for lane in lanes], dtype=float)
-    half_c = 0.5 * cap
-    v_max = np.array([lane.physics.v_max for lane in lanes], dtype=float)
-    e_cap = (half_c * v_max) * v_max
-    overhead = np.array([lane.overhead for lane in lanes], dtype=float)
-    has_leak = any(lane.leak is not None for lane in lanes)
-    leak = np.array(
-        [1.0 if lane.leak is None else lane.leak for lane in lanes],
-        dtype=float,
-    )
-    source_vals = [
-        _source_windows(members, k, pass_n) for k in range(n_sources)
-    ]
-    source_kind = [lanes[0].sources[k].kind for k in range(n_sources)]
-    source_drop = [
-        np.array([lane.sources[k].drop for lane in lanes], dtype=float)
-        for k in range(n_sources)
-    ]
-    source_rt = [
-        np.array([lane.sources[k].r_total for lane in lanes], dtype=float)
-        for k in range(n_sources)
-    ]
-    # Per-load constants; e_const precombined per lane in Python floats
-    # (power * dt + energy), matching the scalar loop's precombination.
-    load_e_const = [
-        np.array(
-            [g.profiles[j].power * g.lane.dt + g.profiles[j].energy
-             for g in members],
-            dtype=float,
-        )
-        for j in range(n_loads)
-    ]
-    load_res = [
-        np.array(
-            [np.inf if g.profiles[j].resistance is None
-             else g.profiles[j].resistance for g in members],
-            dtype=float,
-        )
-        for j in range(n_loads)
-    ]
-    load_cur = [
-        np.array([g.profiles[j].current for g in members], dtype=float)
-        for j in range(n_loads)
-    ]
-    load_gain = [
-        np.array([g.profiles[j].current_gain for g in members], dtype=float)
-        for j in range(n_loads)
-    ]
-    load_rise = [
-        np.array([g.profiles[j].v_rising for g in members], dtype=float)
-        for j in range(n_loads)
-    ]
-    load_fall = [
-        np.array([g.profiles[j].v_falling for g in members], dtype=float)
-        for j in range(n_loads)
-    ]
-    harvested = np.array(
-        [lane.rail.stats.harvested for lane in lanes], dtype=float
-    )
-    leaked = np.array([lane.rail.stats.leaked for lane in lanes], dtype=float)
-    consumed = np.array(
-        [lane.rail.stats.consumed for lane in lanes], dtype=float
-    )
-    starved = np.array(
-        [lane.rail.stats.starved for lane in lanes], dtype=float
-    )
-    esums = [np.zeros(m_count, dtype=float) for _ in range(n_loads)]
-    edems = [None] * n_loads
-    # Lane-major, padded rows: see the matching comment in _simple_pass.
-    vcc = np.empty((m_count, pass_n + 8), dtype=float)[:, :pass_n]
-    taken = horizons.copy()
-    alive = np.ones(m_count, dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for i in range(pass_n):
-            v0 = v
-            tv = v.copy()
-            h_t = harvested
-            for k in range(n_sources):
-                if source_kind[k] == "v":
-                    head = source_vals[k][i] - v0
-                    head = head - source_drop[k]
-                    pos = head > 0.0
-                    before = (half_c * tv) * tv
-                    q = head / source_rt[k]
-                    q = q * dt_arr
-                    q = q / cap
-                    vn = tv + q
-                    clamped = np.minimum(vn, v_max)
-                    after = (half_c * clamped) * clamped
-                    h_t = np.where(pos, h_t + (after - before), h_t)
-                    tv = np.where(pos, clamped, tv)
-                else:
-                    p = source_vals[k][i]
-                    p_dt = p * dt_arr
-                    ppos = p > 0.0
-                    e = (half_c * tv) * tv
-                    e_new = e + p_dt
-                    over = e_new > e_cap
-                    accepted = e_cap - e
-                    rem = 2.0 * e_new
-                    rem = rem / cap
-                    root = np.sqrt(rem)
-                    h_over = np.where(accepted > 0.0, h_t + accepted, h_t)
-                    h_new = np.where(over, h_over, h_t + p_dt)
-                    tv_new = np.where(over, v_max, root)
-                    tv = np.where(ppos, tv_new, tv)
-                    h_t = np.where(ppos, h_new, h_t)
-            le_t = leaked
-            if has_leak:
-                before = (half_c * tv) * tv
-                tv = tv * leak
-                after = (half_c * tv) * tv
-                le_t = le_t + (before - after)
-            co_t = consumed
-            st_t = starved
-            evstep = np.zeros(m_count, dtype=bool)
-            for j in range(n_loads):
-                ev = (tv >= load_rise[j]) | (tv < load_fall[j])
-                evstep = evstep | ev
-                r_term = ((tv * tv) / load_res[j]) * dt_arr
-                c_term = ((load_cur[j] * tv) * load_gain[j]) * dt_arr
-                e_dem = (r_term + c_term) + load_e_const[j]
-                demand = e_dem * overhead
-                avail = (half_c * tv) * tv
-                starve = demand >= avail
-                rem = avail - demand
-                rem = 2.0 * rem
-                rem = rem / cap
-                root = np.sqrt(rem)
-                delivered = np.where(
-                    starve, avail / overhead, demand / overhead
-                )
-                tv = np.where(starve, 0.0, root)
-                co_t = co_t + delivered
-                st_t = st_t + (e_dem - delivered)
-                edems[j] = e_dem
-            newly = alive & evstep
-            if newly.any():
-                np.copyto(taken, i, where=newly)
-            commit = alive & ~evstep
-            np.copyto(v, tv, where=commit)
-            np.copyto(harvested, h_t, where=commit)
-            if has_leak:
-                np.copyto(leaked, le_t, where=commit)
-            np.copyto(consumed, co_t, where=commit)
-            np.copyto(starved, st_t, where=commit)
-            for j in range(n_loads):
-                np.copyto(esums[j], esums[j] + edems[j], where=commit)
-            vcc[:, i] = v
-            alive = commit & (np.int64(i + 1) < horizons)
-            live = int(np.count_nonzero(alive))
-            if live == 0:
-                break
-            if i + 1 >= _EARLY_EXIT_MIN_STEPS and live * 4 < m_count:
-                np.copyto(taken, i + 1, where=alive)
-                break
-    for m, gathered in enumerate(members):
-        steps_taken = int(taken[m])
-        _commit_lane(
-            gathered.lane,
-            gathered,
-            steps_taken,
-            float(v[m]),
-            {
-                "harvested": float(harvested[m]),
-                "leaked": float(leaked[m]),
-                "consumed": float(consumed[m]),
-                "starved": float(starved[m]),
-            },
-            [float(esums[j][m]) for j in range(n_loads)],
-            vcc[m, :steps_taken],
-            evented=steps_taken < int(horizons[m]),
-            stats=stats,
-        )
-    stats.passes += 1
-
-
-def _finalize(lane: _Lane, capture_traces: Sequence[str],
-              max_trace_samples: int) -> RunResult:
-    """Wrap a finished lane as a RunResult, mirroring run_point_payload."""
+def _lane_run(lane: _Lane):
+    """The finished lane's run, as :meth:`EnergyDrivenSystem.run` returns it."""
     from repro.core.system import SystemRunResult
 
-    spec = lane.spec
-    try:
-        run = SystemRunResult(
-            t_end=lane.sim.t,
-            traces=lane.sim._recorder.traces(),
-            rail=lane.rail,
-            platform=lane.platform,
-        )
-        return RunResult.from_system_run(
-            run,
-            spec,
-            overrides=lane.overrides,
-            capture_traces=tuple(capture_traces),
-            max_trace_samples=max_trace_samples,
-        )
-    except Exception as error:
-        return RunResult.failed(
-            f"{type(error).__name__}: {error}",
-            spec_hash=spec_hash(spec),
-            name=spec.name,
-            overrides=lane.overrides,
-            spec=spec,
-        )
-
-
-def _run_solo(spec: ScenarioSpec, overrides: Dict[str, Any],
-              capture_traces: Sequence[str],
-              max_trace_samples: int) -> RunResult:
-    """The unbatched per-scenario path, identical to run_point_payload."""
-    try:
-        system = spec.build()
-        run = system.run(spec.duration, decimate=spec.decimate)
-        return RunResult.from_system_run(
-            run,
-            spec,
-            overrides=overrides,
-            capture_traces=tuple(capture_traces),
-            max_trace_samples=max_trace_samples,
-        )
-    except Exception as error:
-        return RunResult.failed(
-            f"{type(error).__name__}: {error}",
-            spec_hash=spec_hash(spec),
-            name=spec.name,
-            overrides=overrides,
-            spec=spec,
-        )
+    return SystemRunResult(
+        t_end=lane.sim.t,
+        traces=lane.sim._recorder.traces(),
+        rail=lane.rail,
+        platform=lane.platform,
+    )
 
 
 def run_specs_batched(
@@ -1253,9 +855,10 @@ def run_specs_batched(
 
     Returns one :class:`RunResult` per spec, in order — each identical
     in spec hash, event timing and vcc trace to a per-scenario fast run.
-    Members the batch kernel cannot vectorize run through the untouched
-    per-scenario path (and count as ``diverged`` in ``stats``); a member
-    that fails to build or run becomes an error result, exactly as
+    Members without the simple rail shape (see :func:`_lane_simple`)
+    run the per-scenario fast path on the system already built (and
+    count as ``diverged`` in ``stats``); a member that fails to build or
+    run becomes an error result, exactly as
     :func:`repro.spec.runner.run_point_payload` produces.
 
     Args:
@@ -1283,36 +886,36 @@ def run_specs_batched(
     for index, (spec, overrides) in enumerate(zip(specs, overrides_list)):
         overrides = dict(overrides)
         if not batchable(spec):
-            results[index] = _run_solo(
+            results[index] = run_point(
                 spec, overrides, capture_traces, max_trace_samples
             )
             continue
         try:
             lane = _build_lane(index, spec, overrides)
-            if not _lane_chunkable(lane) or not _lane_vectorizable(
-                lane, cache
-            ):
-                results[index] = _run_solo(
-                    spec, overrides, capture_traces, max_trace_samples
-                )
-                stats.diverged += 1
-                continue
+            simple = _lane_simple(lane, cache)
         except Exception as error:
-            results[index] = RunResult.failed(
-                f"{type(error).__name__}: {error}",
-                spec_hash=spec_hash(spec),
-                name=spec.name,
-                overrides=overrides,
-                spec=spec,
-            )
+            results[index] = failed_point(spec, overrides, error)
             continue
-        lanes.append(lane)
+        if simple:
+            lanes.append(lane)
+            continue
+        # Not the simple shape: the solo fast path, on the system just
+        # built.  Its results are wrapped now, so its full-horizon
+        # recorder is freed before the lanes run.
+        results[index] = run_point(
+            spec, overrides, capture_traces, max_trace_samples,
+            run=functools.partial(
+                lane.system.run, spec.duration, decimate=spec.decimate
+            ),
+        )
+        stats.diverged += 1
     stats.members += len(lanes)
     try:
         _drive_lanes(lanes, stats, round_hook)
         for lane in lanes:
-            results[lane.index] = _finalize(
-                lane, capture_traces, max_trace_samples
+            results[lane.index] = run_point(
+                lane.spec, lane.overrides, capture_traces, max_trace_samples,
+                run=functools.partial(_lane_run, lane),
             )
     except Exception:
         # Batch-machinery safety net: rerun every unfinished member
@@ -1320,7 +923,7 @@ def run_specs_batched(
         # deterministic, so a rebuild reproduces the run exactly).
         for lane in lanes:
             if results[lane.index] is None:
-                results[lane.index] = _run_solo(
+                results[lane.index] = run_point(
                     lane.spec, lane.overrides, capture_traces,
                     max_trace_samples,
                 )
@@ -1344,7 +947,7 @@ def run_specs_batched(
 def _drive_lanes(
     lanes: List[_Lane], stats: BatchStats, round_hook: Optional[RoundHook]
 ) -> None:
-    """The round loop: settle, gather, group, pass — until all lanes end."""
+    """The round loop: settle, gather, pass — until all lanes end."""
     while True:
         runnable = [lane for lane in lanes if not lane.done]
         if not runnable:
@@ -1361,9 +964,10 @@ def _drive_lanes(
                 count = lane.pending_scalar
                 lane.pending_scalar = 0
                 _run_scalar_steps(lane, count, stats)
-        # 2. Gather every lane's current regime and group compatible
-        #    shapes for shared passes.
-        groups: Dict[Tuple, List[_Gathered]] = {}
+        # 2. Gather every lane's current regime.  A constant per-step
+        #    energy demand joins the shared pass; a current or resistive
+        #    term advances through the scalar chunk loop.
+        simple: List[_Gathered] = []
         for lane in runnable:
             if lane.done:
                 continue
@@ -1378,16 +982,17 @@ def _drive_lanes(
                     lane.pending_scalar = lane.backoff
                 continue
             lane.backoff = 0
-            groups.setdefault(_group_key(gathered), []).append(gathered)
-        # 3. Advance each group: vectorized passes for real groups, the
-        #    ordinary scalar chunk loop for loners.
-        for key, members in groups.items():
-            if len(members) < _MIN_VECTOR_GROUP or key[0] == "c":
-                for gathered in members:
-                    _advance_chunk_scalar(gathered.lane, stats)
-            elif key[0] == "s":
-                _simple_pass(members, stats)
+            profile = gathered.profile
+            if profile.resistance is None and profile.current == 0.0:
+                simple.append(gathered)
             else:
-                _general_pass(members, stats)
+                _advance_chunk_scalar(lane, stats)
+        # 3. One vectorized pass when the group pays for array dispatch,
+        #    the ordinary scalar chunk loop otherwise.
+        if len(simple) >= _MIN_VECTOR_GROUP:
+            _simple_pass(simple, stats)
+        else:
+            for gathered in simple:
+                _advance_chunk_scalar(gathered.lane, stats)
         if round_hook is not None:
             round_hook(stats)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import atexit
 import math
 import os
-import random
 import sys
 import threading
 import time
@@ -61,9 +60,11 @@ from repro.results.run_result import (
     QUARANTINE_PREFIX,
     WORKER_FAILURE_PREFIX,
     RunResult,
+    run_point,
     spec_hash,
 )
 from repro.results.store import ResultStore
+from repro.retry import backoff_delay
 from repro.spec.specs import ScenarioSpec, expand_grid
 
 
@@ -224,27 +225,12 @@ def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
             spec_hash=_task_failure_key(payload, _SHARED_BASE_DICT),
             overrides=overrides,
         ).to_record()
-    try:
-        system = spec.build()
-        run = system.run(spec.duration, decimate=spec.decimate)
-        result = RunResult.from_system_run(
-            run,
-            spec,
-            overrides=overrides,
-            capture_traces=tuple(payload.get("traces", ())),
-            max_trace_samples=payload.get(
-                "max_trace_samples", MAX_TRACE_SAMPLES
-            ),
-        )
-    except Exception as error:  # one bad point must not kill the sweep
-        result = RunResult.failed(
-            f"{type(error).__name__}: {error}",
-            spec_hash=spec_hash(spec),
-            name=spec.name,
-            overrides=overrides,
-            spec=spec,
-        )
-    return result.to_record()
+    return run_point(
+        spec,
+        overrides,
+        capture_traces=tuple(payload.get("traces", ())),
+        max_trace_samples=payload.get("max_trace_samples", MAX_TRACE_SAMPLES),
+    ).to_record()
 
 
 #: Back-compat alias: a sweep point and a standalone run share one type.
@@ -386,13 +372,9 @@ class SupervisionPolicy:
 
     def backoff_delay(self, attempt: int) -> float:
         """Seconds to sleep before retry ``attempt`` (1-based)."""
-        delay = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * (2.0 ** max(0, attempt - 1)),
+        return backoff_delay(
+            attempt, self.backoff_base_s, self.backoff_cap_s, self.jitter
         )
-        if self.jitter:
-            delay *= 1.0 + self.jitter * random.random()
-        return delay
 
 
 def _record_is_crash(record: Any) -> bool:

@@ -15,8 +15,9 @@ import pytest
 import repro.sim.batch as B
 from repro.sim import _ckernel
 from repro.results.run_result import spec_hash
-from repro.spec.presets import fig7_spec
+from repro.spec.presets import fig7_spec, preset
 from repro.spec.runner import run_point_payload
+from repro.spec.specs import HarvesterSpec, StorageSpec
 
 #: Relative tolerance for scalar metrics (float re-association between
 #: chunk partitions; the vcc trace itself must match bit for bit).
@@ -219,3 +220,95 @@ def test_ckernel_self_check_guards_loading():
     if compiled is None:
         pytest.skip("no C compiler available")
     assert _ckernel._self_check(compiled)
+
+
+#: Output arguments of the compiled pass, by position in its call.
+_KERNEL_OUTPUTS = {"v": 3, "harvested": 12, "consumed": 13, "starved": 14,
+                   "vcc": 15}
+
+
+@pytest.mark.parametrize("output", sorted(_KERNEL_OUTPUTS))
+def test_ckernel_self_check_rejects_one_bit_difference(output):
+    """A kernel whose result differs from ``_chunk_loop_simple`` by one
+    ulp in any output fails the self-check."""
+    compiled = _ckernel.load()
+    if compiled is None:
+        pytest.skip("no C compiler available")
+
+    def off_by_one_bit(*args):
+        compiled(*args)
+        array = args[_KERNEL_OUTPUTS[output]]
+        cell = (1, 3) if array.ndim == 2 else 1
+        array[cell] = np.nextafter(array[cell], np.inf)
+
+    assert not _ckernel._self_check(off_by_one_bit)
+
+
+# -- members without the simple rail shape ------------------------------
+
+
+def short_crossover(strategy, capacitance):
+    """An Eq. 5 crossover point cut short: a resistive bleed load beside
+    the platform gives the rail two loads."""
+    spec = preset(
+        f"crossover-{strategy}", duration=0.4, total_cycles=2_000_000,
+        frequency=20.0,
+    )
+    return spec.with_overrides({"kernel": "fast", "capacitance": capacitance})
+
+
+def leaky_fig7(capacitance):
+    spec = base_spec(capacitance=capacitance)
+    storage = StorageSpec(
+        "capacitor", {**spec.storage.params, "leakage_resistance": 2e5}
+    )
+    return dataclasses.replace(spec, storage=storage)
+
+
+def power_fig7(capacitance):
+    """fig7 fed by a power-domain harvester instead of the rectifier."""
+    spec = base_spec(capacitance=capacitance)
+    harvester = HarvesterSpec(
+        "square-wave-power", {"on_power": 5e-3, "period": 0.04, "duty": 0.5}
+    )
+    return dataclasses.replace(spec, harvesters=(harvester,))
+
+
+NON_SIMPLE = {
+    "crossover-hibernus": lambda c: short_crossover("hibernus", c),
+    "crossover-quickrecall": lambda c: short_crossover("quickrecall", c),
+    "leaky-storage": leaky_fig7,
+    "power-harvester": power_fig7,
+}
+
+
+@pytest.mark.parametrize("family", sorted(NON_SIMPLE))
+def test_non_simple_members_run_solo(family):
+    """Members without the simple rail shape never become lanes: each
+    runs the solo fast path and equals its solo run."""
+    specs = [NON_SIMPLE[family](c) for c in (22e-6, 47e-6, 68e-6)]
+    results, stats = run_batched(specs)
+    assert stats.members == 0
+    assert stats.passes == 0
+    assert stats.diverged == len(specs)
+    for spec, result in zip(specs, results):
+        assert_member_matches_solo(spec, result)
+
+
+def test_mixed_batch_vectorises_simple_members():
+    """Simple-shape members still share array passes next to members
+    that run solo, and every member matches its solo run."""
+    simple = [base_spec(capacitance=c) for c in (22e-6, 40e-6, 68e-6)]
+    others = [
+        short_crossover("hibernus", 22e-6),
+        leaky_fig7(47e-6),
+        power_fig7(33e-6),
+    ]
+    specs = [simple[0], others[0], simple[1], others[1], others[2],
+             simple[2]]
+    results, stats = run_batched(specs)
+    assert stats.members == len(simple)
+    assert stats.passes > 0
+    assert stats.diverged >= len(others)
+    for spec, result in zip(specs, results):
+        assert_member_matches_solo(spec, result)
