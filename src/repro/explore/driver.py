@@ -8,9 +8,10 @@ framework:
   :meth:`ScenarioSpec.with_overrides`, with sub-full fidelity mapped to
   the fast kernel over a proportionally shortened horizon
   (:meth:`spec_for` — the engine's entire fidelity model);
-* batches evaluate through the same process-pool worker a sweep uses
-  (:func:`repro.spec.runner.execute_payloads`), so scenario failures pin
-  error rows instead of killing the exploration;
+* batches evaluate through the execution core a sweep uses
+  (:func:`repro.spec.runner.execute_payloads`: batching, supervision,
+  the process pool), so scenario failures pin error rows instead of
+  killing the exploration;
 * every evaluation persists as a :class:`RunResult` in a
   :class:`ResultStore`, keyed by spec hash — re-asked points (within a
   run or across resumed runs) cost a dictionary lookup, which is why an
@@ -38,16 +39,18 @@ from repro.explore.optimizers import (
 )
 from repro.explore.space import SearchSpace
 from repro.results.metrics import result_columns
-from repro.results.run_result import RunResult, spec_hash
+from repro.results.run_result import (
+    RunResult,
+    is_worker_crash_error,
+    spec_hash,
+)
 from repro.results.store import ResultStore
 from repro.spec.runner import (
-    BatchProgress,
     ProgressHook,
+    SupervisionPolicy,
     WarmPool,
-    _is_worker_crash,
     execute_payloads,
-    flatten_batch_records,
-    group_batch_payloads,
+    publish_progress,
 )
 from repro.spec.specs import ScenarioSpec
 
@@ -209,6 +212,11 @@ class ExplorationDriver:
             to this many members (``0`` = auto, ``None``/``1`` =
             per-candidate execution).  Results and spec hashes are
             identical either way.
+        policy: supervise every evaluation batch (per-attempt
+            deadlines, bounded retries, quarantine) exactly as
+            ``SweepRunner.run(policy=)`` does, serial or parallel — see
+            :class:`~repro.spec.runner.SupervisionPolicy`.  None =
+            unsupervised.
     """
 
     def __init__(
@@ -228,6 +236,7 @@ class ExplorationDriver:
         pool: Optional[WarmPool] = None,
         store_backend: Optional[str] = None,
         batch_size: Optional[int] = None,
+        policy: Optional[SupervisionPolicy] = None,
     ):
         self.base = base
         self.space = space
@@ -264,13 +273,11 @@ class ExplorationDriver:
         self.seed = seed
         self.progress = progress
         self.batch_size = batch_size
+        self.policy = policy
         #: A caller-owned pool shared across runs (never closed here).
         self._external_pool = pool
         #: The warm-worker pool serving the current run(), if parallel.
         self._pool: Optional[WarmPool] = None
-        #: Batched-kernel stats from the most recent _evaluate() call
-        #: (empty when nothing batched); surfaced on progress events.
-        self._last_batch_stats: Dict[str, int] = {}
 
     # -- the fidelity model ----------------------------------------------
 
@@ -366,7 +373,8 @@ class ExplorationDriver:
                     stored = (self.store.get(key)
                               if self.resume and self.store is not None
                               else None)
-                    if stored is not None and not _is_worker_crash(stored):
+                    if stored is not None and \
+                            not is_worker_crash_error(stored.error):
                         seen[key] = stored
                     else:
                         failed = RunResult.failed(
@@ -386,8 +394,12 @@ class ExplorationDriver:
     def _evaluate(
         self, batch: Sequence[Candidate], seen: Dict[str, RunResult],
         index_base: int,
-    ) -> Tuple[List[Evaluation], int, int]:
-        """Satisfy one batch; returns (evaluations, computed, full)."""
+    ) -> Tuple[List[Evaluation], int, int, Dict[str, int]]:
+        """Satisfy one batch.
+
+        Returns ``(evaluations, computed, full, batch_stats)``, the last
+        being :func:`execute_payloads`' batched-kernel stats.
+        """
         specs, hashes, fresh_failures = self._build_specs(batch, seen)
         to_compute: List[int] = []
         for i, key in enumerate(hashes):
@@ -395,7 +407,8 @@ class ExplorationDriver:
                 continue
             if self.resume and self.store is not None:
                 stored = self.store.get(key)
-                if stored is not None and not _is_worker_crash(stored):
+                if stored is not None and \
+                        not is_worker_crash_error(stored.error):
                     seen[key] = stored.with_context(
                         index=index_base + i, spec=specs[i]
                     )
@@ -419,43 +432,16 @@ class ExplorationDriver:
                 "spec_overrides": task,
                 "overrides": overrides,
             })
-        self._last_batch_stats = {}
-        if (self.batch_size is not None and self.batch_size != 1
-                and len(payloads) > 1):
-            grouped, order = group_batch_payloads(
-                payloads, [specs[i] for i in to_compute], self.batch_size
-            )
-            raw = execute_payloads(
-                grouped,
-                parallel=self.parallel,
-                max_workers=self.max_workers,
-                base_spec=self.base.to_dict(),
-                pool=self._pool,
-            )
-            flat, self._last_batch_stats = flatten_batch_records(raw)
-            records: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-            for position, record in zip(order, flat):
-                records[position] = record
-            from repro.spec.runner import WORKER_FAILURE_PREFIX
-
-            records = [
-                record if record is not None else RunResult.failed(
-                    f"{WORKER_FAILURE_PREFIX}batch worker returned no "
-                    "record",
-                    spec_hash=hashes[to_compute[position]],
-                    name=self.base.name,
-                    overrides=dict(batch[to_compute[position]].overrides),
-                ).to_record()
-                for position, record in enumerate(records)
-            ]
-        else:
-            records = execute_payloads(
-                payloads,
-                parallel=self.parallel,
-                max_workers=self.max_workers,
-                base_spec=self.base.to_dict(),
-                pool=self._pool,
-            )
+        records, batch_stats = execute_payloads(
+            payloads,
+            [specs[i] for i in to_compute],
+            batch_size=self.batch_size,
+            parallel=self.parallel,
+            max_workers=self.max_workers,
+            base_spec=self.base.to_dict(),
+            pool=self._pool,
+            policy=self.policy,
+        )
         computed_full = 0
         transient: Dict[str, RunResult] = {}
         store_batch = (
@@ -474,7 +460,7 @@ class ExplorationDriver:
                 # transient — out of the store AND the in-run map, so a
                 # later re-ask of the point retries it, exactly as
                 # SweepRunner's resume does.
-                if _is_worker_crash(result):
+                if is_worker_crash_error(result.error):
                     transient[hashes[i]] = result
                 else:
                     seen[hashes[i]] = result
@@ -494,7 +480,7 @@ class ExplorationDriver:
                 # in-batch duplicates and store hits are cache hits.
                 cached=j not in computed_indices,
             ))
-        return evaluations, len(computed_indices), computed_full
+        return evaluations, len(computed_indices), computed_full, batch_stats
 
     def run(self, budget: Optional[int] = None) -> ExplorationResult:
         """Drive the optimizer until it finishes or exhausts the budget."""
@@ -520,8 +506,8 @@ class ExplorationDriver:
                 batch = optimizer.ask()
                 if not batch:
                     break
-                batch_evals, batch_computed, batch_full = self._evaluate(
-                    batch, seen, index_base=len(evaluations)
+                batch_evals, batch_computed, batch_full, stats = (
+                    self._evaluate(batch, seen, index_base=len(evaluations))
                 )
                 optimizer.tell(batch_evals)
                 evaluations.extend(batch_evals)
@@ -529,10 +515,9 @@ class ExplorationDriver:
                 computed_full += batch_full
                 cached += len(batch_evals) - batch_computed
                 batches += 1
-                # Progress always flows through the obs layer first (one
-                # shared stream), then to any caller hook.
-                stats = self._last_batch_stats
-                event = BatchProgress(
+                publish_progress(
+                    self.progress,
+                    stats,
                     label=self.base.name,
                     batch=batches,
                     computed=batch_computed,
@@ -542,15 +527,7 @@ class ExplorationDriver:
                         if e.result.error is not None
                     ),
                     total=len(evaluations),
-                    members=stats.get("members") if stats else None,
-                    passes=stats.get("passes"),
-                    advanced=stats.get("advanced"),
-                    settled=stats.get("settled"),
-                    diverged=stats.get("diverged"),
                 )
-                obs.record_progress(event)
-                if self.progress is not None:
-                    self.progress(event)
         finally:
             explore_span.annotate(batches=batches, computed=computed)
             explore_span.__exit__(None, None, None)

@@ -49,7 +49,8 @@ import json
 import os
 import struct
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 import numpy as np
 
@@ -98,6 +99,46 @@ _KIND_DTYPES = {
 _SPECIAL_COLUMNS = ("#hash", "#name", "#spec", "#traces", "#overflow")
 
 _ABSENT = object()  # sentinel: the row's dict lacks the key entirely
+
+
+def read_jsonl(
+    path: str, decode: Callable[[Any], Any], noun: str
+) -> Tuple[List[Any], bool]:
+    """Decode every line of a JSONL file; returns (items, had_torn_tail).
+
+    A bad *final* line (a writer killed mid-append) is dropped and
+    reported so the caller can compact it away; a bad line anywhere
+    earlier raises, naming it a corrupt ``noun``.  Shared by
+    :class:`JsonlBackend` and the service's job log.
+    """
+    with open(path, "r", encoding="utf-8") as stream:
+        lines = stream.readlines()
+    items: List[Any] = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            items.append(decode(json.loads(line)))
+        except (json.JSONDecodeError, ReproError, TypeError) as error:
+            if lineno == len(lines):
+                return items, True
+            raise ResultStoreError(
+                f"{path}:{lineno}: corrupt {noun}: {error}"
+            ) from error
+    return items, False
+
+
+def replace_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> None:
+    """Atomically replace ``path`` with one JSON line per record: the
+    temp file is fsynced before the rename, so a crash leaves the old
+    file or the complete new one."""
+    tmp_path = f"{path}.tmp"
+    with open(tmp_path, "w", encoding="utf-8") as stream:
+        for record in records:
+            stream.write(json.dumps(record) + "\n")
+        stream.flush()
+        os.fsync(stream.fileno())
+    os.replace(tmp_path, path)
 
 
 class _FileLock:
@@ -197,51 +238,18 @@ class JsonlBackend(StoreBackend):
         super().__init__(path)
         self._lock = _FileLock(f"{path}.lock")
 
-    # -- reading ---------------------------------------------------------
-
-    def _read(self) -> Tuple[List[RunResult], bool]:
-        """Parse every line; returns (rows, had_torn_tail)."""
-        with open(self.path, "r", encoding="utf-8") as stream:
-            lines = stream.readlines()
-        records: List[RunResult] = []
-        bad_tail = False
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-                result = RunResult.from_record(payload)
-            except (json.JSONDecodeError, ReproError) as error:
-                if lineno == len(lines):
-                    # A torn final line: the writer died mid-append.
-                    # Recoverable by construction — drop it and compact.
-                    bad_tail = True
-                    break
-                raise ResultStoreError(
-                    f"{self.path}:{lineno}: corrupt result record: {error}"
-                ) from error
-            records.append(result)
-        return records, bad_tail
-
     def load(self) -> List[RunResult]:
         if not os.path.exists(self.path):
             return []
         with self._lock:
-            records, bad_tail = self._read()
+            records, bad_tail = read_jsonl(
+                self.path, RunResult.from_record, "result record"
+            )
             if bad_tail:
-                self._replace_with(records)
+                # A torn final line: the writer died mid-append.
+                # Recoverable by construction — drop it and compact.
+                replace_jsonl(self.path, (r.to_record() for r in records))
         return records
-
-    # -- writing ---------------------------------------------------------
-
-    def _replace_with(self, results: Sequence[RunResult]) -> None:
-        tmp_path = f"{self.path}.tmp"
-        with open(tmp_path, "w", encoding="utf-8") as stream:
-            for result in results:
-                stream.write(json.dumps(result.to_record()) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp_path, self.path)
 
     def append(self, result: RunResult) -> None:
         self.append_many([result])
@@ -279,7 +287,9 @@ class JsonlBackend(StoreBackend):
             preserved: List[RunResult] = []
             if os.path.exists(self.path):
                 known = {r.spec_hash for r in results}
-                disk, _bad_tail = self._read()
+                disk, _bad_tail = read_jsonl(
+                    self.path, RunResult.from_record, "result record"
+                )
                 # Transient worker-crash rows are never worth
                 # preserving: carrying them through a compaction would
                 # resurrect exactly the rows the load-time cleanup
@@ -289,7 +299,10 @@ class JsonlBackend(StoreBackend):
                     if r.spec_hash not in known
                     and not is_worker_crash_error(r.error)
                 ]
-            self._replace_with(list(results) + preserved)
+            replace_jsonl(
+                self.path,
+                (r.to_record() for r in list(results) + preserved),
+            )
         return preserved
 
 

@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ResultStoreError
+from repro.results.backends import read_jsonl, replace_jsonl
 from repro.results.run_result import content_hash
 
 #: The job lifecycle.  ``queued -> running -> done|failed``;
@@ -150,36 +151,13 @@ class JobStore:
         self._lock = threading.Lock()
         self._records: Dict[str, JobRecord] = {}
         if self.path is not None and os.path.exists(self.path):
-            self._load()
-
-    def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as stream:
-            lines = stream.readlines()
-        loaded: Dict[str, JobRecord] = {}
-        bad_tail = False
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = JobRecord.from_record(json.loads(line))
-            except (json.JSONDecodeError, ResultStoreError, TypeError) as error:
-                if lineno == len(lines):
-                    bad_tail = True
-                    break
-                raise ResultStoreError(
-                    f"{self.path}:{lineno}: corrupt job record: {error}"
-                ) from error
-            loaded[record.job_id] = record
-        self._records = loaded
-        if bad_tail:
-            self._rewrite_locked()
-
-    def _rewrite_locked(self) -> None:
-        tmp_path = f"{self.path}.tmp"
-        with open(tmp_path, "w", encoding="utf-8") as stream:
-            for record in self._records.values():
-                stream.write(json.dumps(record.to_record()) + "\n")
-        os.replace(tmp_path, self.path)
+            records, bad_tail = read_jsonl(
+                self.path, JobRecord.from_record, "job record"
+            )
+            # Last snapshot wins; jobs keep their first-seen order.
+            self._records = {record.job_id: record for record in records}
+            if bad_tail:
+                self.compact()
 
     def save(self, record: JobRecord) -> None:
         """Persist one snapshot (and update the in-memory last-wins map)."""
@@ -196,7 +174,10 @@ class JobStore:
         """Rewrite the file to one (latest) snapshot per job."""
         with self._lock:
             if self.path is not None:
-                self._rewrite_locked()
+                replace_jsonl(
+                    self.path,
+                    (r.to_record() for r in self._records.values()),
+                )
 
     def get(self, job_id: str) -> Optional[JobRecord]:
         with self._lock:

@@ -47,6 +47,7 @@ from repro.spec import ScenarioSpec, SweepRunner, preset, preset_names
 from repro.spec.runner import (
     BatchProgress,
     SupervisionPolicy,
+    SweepResult,
     WarmPool,
     pool_gate_status,
     register_shutdown_hook,
@@ -259,6 +260,7 @@ class SimulationService:
         self,
         payload: Mapping[str, Any],
         record: Optional[JobRecord] = None,
+        policy: Optional[SupervisionPolicy] = None,
     ) -> ExplorationDriver:
         base = self._base_spec(payload)
         space_payload = _require_mapping(payload.get("space"), "'space'")
@@ -313,6 +315,7 @@ class SimulationService:
             progress=self._progress_hook(record) if record else None,
             pool=self.pool,
             batch_size=self._batch_size(payload),
+            policy=policy,
         )
 
     def _validate_exploration(self, payload: Mapping[str, Any]) -> None:
@@ -382,18 +385,13 @@ class SimulationService:
         policy = self._job_policy(record)
         retry_delay: Optional[float] = None
         with obs.span("job.run", kind=record.kind) as jspan:
-            if self.pool is not None:
-                # Jobs execute one at a time, so the shared pool can
-                # carry this job's policy for paths that do not thread
-                # it explicitly (exploration drivers).
-                self.pool.policy = policy
             try:
                 if record.kind == "run":
                     record.result = self._run_job(record, policy)
                 elif record.kind == "sweep":
                     record.result = self._sweep_job(record, policy)
                 else:
-                    record.result = self._exploration_job(record)
+                    record.result = self._exploration_job(record, policy)
                 record.status = "done"
                 record.finished_s = time.time()
                 self.queue.emit(
@@ -422,9 +420,6 @@ class SimulationService:
                     record.status = "failed"
                     record.finished_s = time.time()
                     self.queue.emit(record, f"failed: {record.error}")
-            finally:
-                if self.pool is not None:
-                    self.pool.policy = None
             jspan.annotate(
                 status="retrying" if retry_delay is not None
                 else record.status
@@ -442,6 +437,26 @@ class SimulationService:
         ).observe(max(0.0, record.finished_s - record.started_s))
         self.queue.transition(record)
 
+    def _run_sweep(
+        self,
+        record: JobRecord,
+        runner: SweepRunner,
+        policy: Optional[SupervisionPolicy],
+        batch_size: Optional[int] = None,
+    ) -> SweepResult:
+        """Run and sweep jobs: one store-backed, resumed sweep."""
+        record.points_total = len(runner)
+        return runner.run(
+            parallel=self.parallel,
+            store=self.store,
+            resume=True,
+            capture_traces=self._traces(record.request),
+            progress=self._progress_hook(record),
+            pool=self.pool,
+            batch_size=batch_size,
+            policy=policy,
+        )
+
     def _run_job(
         self,
         record: JobRecord,
@@ -449,19 +464,10 @@ class SimulationService:
     ) -> Dict[str, Any]:
         # A single run is a one-point sweep: same store dedupe, same
         # resume semantics, same worker path.
-        base = self._base_spec(record.request)
-        runner = SweepRunner(base, {}, max_workers=self.max_workers)
-        record.points_total = 1
-        sweep = runner.run(
-            parallel=self.parallel,
-            store=self.store,
-            resume=True,
-            capture_traces=self._traces(record.request),
-            progress=self._progress_hook(record),
-            pool=self.pool,
-            policy=policy,
+        runner = SweepRunner(
+            self._base_spec(record.request), {}, max_workers=self.max_workers
         )
-        point = sweep.points[0]
+        point = self._run_sweep(record, runner, policy).points[0]
         return {
             "spec_hash": point.spec_hash,
             "name": point.name,
@@ -474,16 +480,8 @@ class SimulationService:
         policy: Optional[SupervisionPolicy] = None,
     ) -> Dict[str, Any]:
         runner = self._sweep_runner(record.request)
-        record.points_total = len(runner)
-        sweep = runner.run(
-            parallel=self.parallel,
-            store=self.store,
-            resume=True,
-            capture_traces=self._traces(record.request),
-            progress=self._progress_hook(record),
-            pool=self.pool,
-            batch_size=self._batch_size(record.request),
-            policy=policy,
+        sweep = self._run_sweep(
+            record, runner, policy, self._batch_size(record.request)
         )
         return {
             "points": len(sweep),
@@ -494,8 +492,12 @@ class SimulationService:
             "spec_hashes": list(runner.hashes),
         }
 
-    def _exploration_job(self, record: JobRecord) -> Dict[str, Any]:
-        driver = self._explore_driver(record.request, record)
+    def _exploration_job(
+        self,
+        record: JobRecord,
+        policy: Optional[SupervisionPolicy] = None,
+    ) -> Dict[str, Any]:
+        driver = self._explore_driver(record.request, record, policy)
         outcome = driver.run(budget=record.request["budget"])
         best = None
         if outcome.best is not None:

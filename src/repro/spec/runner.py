@@ -14,11 +14,10 @@ re-run skips every grid point whose spec hash the store already holds,
 so an interrupted sweep recomputes only the missing points, and shards
 computed on separate machines merge by hash.
 
-The workers (:func:`run_point_payload` / :func:`run_scenario_payload`)
-are module-level functions so they pickle under every
-``multiprocessing`` start method; they take and return plain dicts,
-keeping the inter-process traffic tiny regardless of how many probe
-samples a run records.
+The worker (:func:`run_point_payload`) is a module-level function so
+it pickles under every ``multiprocessing`` start method; it takes and
+returns plain dicts, keeping the inter-process traffic tiny regardless
+of how many probe samples a run records.
 
 Execution goes through a *warm-worker* pool (:class:`WarmPool`): worker
 processes initialise once from a shared base spec, tasks ship only
@@ -54,39 +53,20 @@ from typing import (
 
 from repro import degrade, faults, obs
 from repro.errors import SpecError
-from repro.results.metrics import empty_metrics, result_columns
+from repro.results.metrics import result_columns
 from repro.results.run_result import (
     MAX_TRACE_SAMPLES,
     QUARANTINE_PREFIX,
     WORKER_FAILURE_PREFIX,
     RunResult,
+    is_quarantined_error,
+    is_worker_crash_error,
     run_point,
     spec_hash,
 )
 from repro.results.store import ResultStore
 from repro.retry import backoff_delay
 from repro.spec.specs import ScenarioSpec, expand_grid
-
-
-def __getattr__(name: str):
-    # Back-compat: these used to be hand-maintained module constants and
-    # drifted apart; both now derive from the metric-extractor registry.
-    if name == "RESULT_COLUMNS":
-        return result_columns()
-    if name == "_EMPTY_SUMMARY":
-        return empty_metrics()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def run_scenario_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool worker: build, run and summarise one bare scenario.
-
-    Takes/returns plain dicts so it is picklable and cheap to ship.
-    Framework errors (an infeasible grid point, e.g. a capacitance too
-    small for its strategy's Eq. (4) threshold) come back as the
-    summary's ``error`` field instead of killing the whole sweep.
-    """
-    return run_point_payload({"spec": payload})["metrics"]
 
 
 #: The shared base spec a warm worker resolves override-only tasks
@@ -233,10 +213,6 @@ def run_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     ).to_record()
 
 
-#: Back-compat alias: a sweep point and a standalone run share one type.
-PointResult = RunResult
-
-
 @dataclass(frozen=True)
 class BatchProgress:
     """One observability event: how a batch of evaluations was satisfied.
@@ -306,17 +282,27 @@ def log_progress(event: BatchProgress) -> None:
 
     logging.getLogger("repro.progress").info("%s", event.describe())
 
+
+def publish_progress(
+    hook: Optional[ProgressHook],
+    batch_stats: Mapping[str, int],
+    **counts: Any,
+) -> None:
+    """Build one :class:`BatchProgress` from ``counts`` plus the
+    :func:`execute_payloads` stats (empty: batched fields stay None),
+    then publish it to the obs layer first, the caller's hook second."""
+    batched = ("members", "passes", "advanced", "settled", "diverged")
+    event = BatchProgress(
+        **counts, **{name: batch_stats.get(name) for name in batched}
+    )
+    obs.record_progress(event)
+    if hook is not None:
+        hook(event)
+
+
 # WORKER_FAILURE_PREFIX / QUARANTINE_PREFIX live in
 # repro.results.run_result (the results layer classifies rows too) and
 # are re-exported here, their historical home.
-
-
-def _is_worker_crash(result: Optional[RunResult]) -> bool:
-    return (
-        result is not None
-        and result.error is not None
-        and result.error.startswith(WORKER_FAILURE_PREFIX)
-    )
 
 
 def is_quarantined(result: Optional[RunResult]) -> bool:
@@ -326,11 +312,7 @@ def is_quarantined(result: Optional[RunResult]) -> bool:
     satisfied on resume, and skipped by best/pareto ranking like any
     other error row.
     """
-    return (
-        result is not None
-        and result.error is not None
-        and result.error.startswith(QUARANTINE_PREFIX)
-    )
+    return result is not None and is_quarantined_error(result.error)
 
 
 @dataclass(frozen=True)
@@ -429,19 +411,15 @@ def _worker_failure(
     resolution-failure path, so either scheme finds the other's rows.
     """
     if "spec_overrides_batch" in payload:
-        name = (base_spec or {}).get("name", "scenario")
         member_tasks = payload["spec_overrides_batch"]
         overrides_list = payload.get("overrides_batch") or member_tasks
         return {
             "batch": [
-                RunResult.failed(
-                    f"{WORKER_FAILURE_PREFIX}{type(error).__name__}: {error}",
-                    spec_hash=_task_failure_key(
-                        {"spec_overrides": task}, base_spec
-                    ),
-                    name=name,
-                    overrides=dict(overrides),
-                ).to_record()
+                _worker_failure(
+                    {"spec_overrides": task, "overrides": overrides},
+                    error,
+                    base_spec,
+                )
                 for task, overrides in zip(member_tasks, overrides_list)
             ]
         }
@@ -455,6 +433,20 @@ def _worker_failure(
         name=name,
         overrides=payload.get("overrides", {}),
     ).to_record()
+
+
+def _call_worker(
+    worker: Callable[[Dict[str, Any]], Dict[str, Any]],
+    payload: Dict[str, Any],
+) -> Dict[str, Any]:
+    """Run one payload in this process.  An exception escaping the
+    worker body (which already converts scenario failures) pins a
+    retryable crash record for *this* payload, not its whole chunk;
+    real process death still surfaces on the pool's future."""
+    try:
+        return worker(payload)
+    except Exception as error:
+        return _worker_failure(payload, error, _SHARED_BASE_DICT)
 
 
 def _run_payload_batch(
@@ -492,18 +484,8 @@ def _run_payload_batch(
     if fault_state is not None or faults.is_armed():
         faults.install(fault_state)
 
-    def one(task: Dict[str, Any]) -> Dict[str, Any]:
-        # Mirror the serial path: an exception escaping the worker body
-        # (which already converts scenario failures) pins a retryable
-        # crash record for *this* task, not the whole chunk.  Real
-        # process death still surfaces as BrokenExecutor on the future.
-        try:
-            return worker(task)
-        except Exception as error:
-            return _worker_failure(task, error, _SHARED_BASE_DICT)
-
     if not obs_opts:
-        return [one(task) for task in tasks]
+        return [_call_worker(worker, task) for task in tasks]
     start_wall = time.time()
     start_mono = time.monotonic()
     before = obs.registry.values()
@@ -511,7 +493,7 @@ def _run_payload_batch(
     if trace:
         obs.enable_tracing()
     try:
-        records = [one(task) for task in tasks]
+        records = [_call_worker(worker, task) for task in tasks]
     finally:
         if trace:
             spans = obs.drain()
@@ -669,13 +651,9 @@ class WarmPool:
         self,
         max_workers: Optional[int] = None,
         base_spec: Optional[Dict[str, Any]] = None,
-        policy: Optional[SupervisionPolicy] = None,
     ):
         self.base_spec = base_spec
         self.max_workers = max_workers or (os.cpu_count() or 1)
-        #: Default supervision for every :meth:`run` (per-call policies
-        #: override).  None = unsupervised, the historical behaviour.
-        self.policy = policy
         self._pool: Optional[ProcessPoolExecutor] = None
         self._broken = False
         # Track from birth so shutdown_all_pools() reaps pools whose
@@ -783,15 +761,13 @@ class WarmPool:
     def _run_serial(
         self,
         payloads: List[Dict[str, Any]],
-        base_spec: Optional[Dict[str, Any]] = None,
-        deadline: Optional[float] = None,
+        base_spec: Optional[Dict[str, Any]],
+        deadline: Optional[float],
     ) -> List[Dict[str, Any]]:
         worker = sys.modules[__name__].run_point_payload
         global _SHARED_BASE, _SHARED_BASE_DICT
         saved = (_SHARED_BASE, _SHARED_BASE_DICT)
-        _install_shared_base(
-            base_spec if base_spec is not None else self.base_spec
-        )
+        _install_shared_base(base_spec)
         # In-process execution: kernel instrumentation lands directly in
         # this process's registry/trace buffer — no shipment envelope.
         obs.counter("repro_pool_tasks_total", mode="serial").inc(
@@ -811,12 +787,7 @@ class WarmPool:
                             _SHARED_BASE_DICT,
                         ))
                         continue
-                    try:
-                        records.append(worker(payload))
-                    except Exception as error:
-                        records.append(
-                            _worker_failure(payload, error, _SHARED_BASE_DICT)
-                        )
+                    records.append(_call_worker(worker, payload))
                 return records
         finally:
             _SHARED_BASE, _SHARED_BASE_DICT = saved
@@ -842,24 +813,20 @@ class WarmPool:
         the active base with each chunk; workers re-parse only when it
         actually changes.
 
-        ``policy`` (default: the pool's own) supervises the batch: each
-        attempt gets a per-attempt deadline (hung workers are reaped
-        at expiry), crashed payloads are retried with exponential
-        backoff up to ``max_retries`` times, and payloads still
-        crashing after that are quarantined as persistent error rows.
-        ``serial=True`` runs attempts in-process (supervision minus
-        reaping) — used by ``execute_payloads(parallel=False)``.
+        ``policy`` supervises this batch (the pool holds none of its
+        own): each attempt gets a per-attempt deadline (hung workers
+        are reaped at expiry), crashed payloads are retried with
+        exponential backoff up to ``max_retries`` times, and payloads
+        still crashing after that are quarantined as persistent error
+        rows.  ``serial=True`` runs attempts in-process (supervision
+        minus reaping) — used by ``execute_payloads(parallel=False)``.
         """
         batch_base = base_spec if base_spec is not None else self.base_spec
-        policy = policy if policy is not None else self.policy
-        if serial:
-            def attempt_fn(tasks, deadline):
-                return self._run_serial(
-                    tasks, base_spec=batch_base, deadline=deadline
-                )
-        else:
-            def attempt_fn(tasks, deadline):
-                return self._run_pool_once(tasks, batch_base, deadline)
+        attempt_once = self._run_serial if serial else self._run_pool_once
+
+        def attempt_fn(tasks, deadline):
+            return attempt_once(tasks, batch_base, deadline)
+
         if policy is None or not policy.supervised:
             return attempt_fn(payloads, None)
         return self._supervise(payloads, policy, attempt_fn)
@@ -948,16 +915,12 @@ class WarmPool:
         # A deadline needs the process boundary: an in-process hang
         # cannot be reaped, so even a single payload goes to the pool.
         if len(payloads) <= 1 and deadline is None:
-            return self._run_serial(
-                payloads, base_spec=batch_base, deadline=deadline
-            )
+            return self._run_serial(payloads, batch_base, deadline)
         pool = self._ensure_pool()
         if pool is None:
             obs.counter("repro_pool_serial_fallback_total").inc()
             degrade.report("executor", "serial")
-            return self._run_serial(
-                payloads, base_spec=batch_base, deadline=deadline
-            )
+            return self._run_serial(payloads, batch_base, deadline)
         # Resolved in the submitting process so tests (and callers) can
         # substitute the worker; it is pickled by reference per chunk.
         worker = sys.modules[__name__].run_point_payload
@@ -1004,9 +967,7 @@ class WarmPool:
                 self.close()
                 obs.counter("repro_pool_serial_fallback_total").inc()
                 degrade.report("executor", "serial")
-                return self._run_serial(
-                    payloads, base_spec=batch_base, deadline=deadline
-                )
+                return self._run_serial(payloads, batch_base, deadline)
             from concurrent.futures import BrokenExecutor
             from concurrent.futures import TimeoutError as _FutureTimeout
 
@@ -1065,47 +1026,57 @@ class WarmPool:
 
 def execute_payloads(
     payloads: List[Dict[str, Any]],
+    specs: Sequence[ScenarioSpec] = (),
+    *,
+    batch_size: Optional[int] = None,
     parallel: bool = True,
     max_workers: Optional[int] = None,
     base_spec: Optional[Dict[str, Any]] = None,
     pool: Optional[WarmPool] = None,
     policy: Optional[SupervisionPolicy] = None,
-) -> List[Dict[str, Any]]:
-    """Run worker payloads; failures become error records, never raises.
+) -> Tuple[List[Dict[str, Any]], Dict[str, int]]:
+    """Run point payloads; failures become error records, never raises.
 
-    The shared execution core of :class:`SweepRunner` and
-    :class:`repro.explore.driver.ExplorationDriver`: each payload goes
-    through :func:`run_point_payload` — across a warm-worker process
-    pool by default, in-process when ``parallel=False`` or the sandbox
-    lacks multiprocessing primitives.  Pass ``base_spec`` (a spec dict)
-    to let payloads ship ``"spec_overrides"`` instead of full specs, and
-    ``pool`` to reuse a caller-managed :class:`WarmPool` across batches
-    (the pool is left open; ``base_spec`` rides along per batch, so a
-    session-wide pool can serve callers with different base scenarios).
-    ``policy`` supervises the batch (deadlines, retries, quarantine —
-    see :class:`SupervisionPolicy`); with ``parallel=False`` the same
-    loop runs in-process, minus hung-worker reaping.
+    The one execution core of :class:`SweepRunner` and
+    :class:`repro.explore.driver.ExplorationDriver`.  ``batch_size``
+    groups same-topology points into batched-kernel payloads
+    (:func:`group_batch_payloads`, which reads ``specs``: one resolved
+    spec per payload).  Everything then runs through one
+    :meth:`WarmPool.run` — on ``pool`` (left open; ``base_spec`` rides
+    along per batch) or a transient pool — supervised by ``policy``,
+    in-process when ``parallel=False``.
+
+    Returns ``(records, batch_stats)``: one record per payload in
+    payload order (a point a batch worker returned no record for gets a
+    worker-failure row), and the summed batched-kernel stats (empty
+    when nothing batched).
     """
-    if pool is not None:
-        if parallel:
-            return pool.run(payloads, base_spec=base_spec, policy=policy)
-        if policy is not None and policy.supervised:
-            return pool.run(
-                payloads, base_spec=base_spec, policy=policy, serial=True
-            )
-        return pool._run_serial(payloads, base_spec=base_spec)
-    workers = min(
-        max_workers or (os.cpu_count() or 1), max(1, len(payloads))
+    grouped, order = group_batch_payloads(payloads, specs, batch_size)
+    executor = pool if pool is not None else WarmPool(
+        max_workers=min(
+            max_workers or (os.cpu_count() or 1), max(1, len(grouped))
+        ),
+        base_spec=base_spec,
     )
-    transient = WarmPool(max_workers=workers, base_spec=base_spec)
     try:
-        if parallel:
-            return transient.run(payloads, policy=policy)
-        if policy is not None and policy.supervised:
-            return transient.run(payloads, policy=policy, serial=True)
-        return transient._run_serial(payloads)
+        raw = executor.run(
+            grouped, base_spec=base_spec, policy=policy, serial=not parallel
+        )
     finally:
-        transient.close()
+        if executor is not pool:
+            executor.close()
+    flat, batch_stats = flatten_batch_records(raw)
+    records: List[Any] = [None] * len(payloads)
+    for position, record in zip(order, flat):
+        records[position] = record
+    for position, record in enumerate(records):
+        if record is None:
+            records[position] = _worker_failure(
+                payloads[position],
+                RuntimeError("batch worker returned no record"),
+                base_spec,
+            )
+    return records, batch_stats
 
 
 def group_batch_payloads(
@@ -1132,6 +1103,8 @@ def group_batch_payloads(
     identity = list(range(len(payloads)))
     if batch_size is None or batch_size == 1 or len(payloads) < 2:
         return list(payloads), identity
+    if len(specs) != len(payloads):
+        raise ValueError("batch grouping needs one spec per payload")
     from repro.sim.batch import AUTO_BATCH_SIZE, batchable, topology_key
 
     size = batch_size if batch_size > 1 else AUTO_BATCH_SIZE
@@ -1302,38 +1275,6 @@ class SweepRunner:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def _payloads(
-        self, indices: Sequence[int], capture_traces: Sequence[str]
-    ) -> List[Dict[str, Any]]:
-        # Warm-worker tasks: only the override dicts travel; every
-        # worker resolves them against the shared base spec it parsed
-        # once at initialisation.
-        return [
-            {
-                "spec_overrides": self.overrides[i],
-                "overrides": self.overrides[i],
-                "traces": list(capture_traces),
-            }
-            for i in indices
-        ]
-
-    def _execute(
-        self,
-        payloads: List[Dict[str, Any]],
-        parallel: bool,
-        pool: Optional[WarmPool] = None,
-        policy: Optional[SupervisionPolicy] = None,
-    ) -> List[Dict[str, Any]]:
-        """Run payloads through the shared :func:`execute_payloads` core."""
-        return execute_payloads(
-            payloads,
-            parallel=parallel,
-            max_workers=self.max_workers,
-            base_spec=self.base.to_dict(),
-            pool=pool,
-            policy=policy,
-        )
-
     def run(
         self,
         parallel: bool = True,
@@ -1387,30 +1328,29 @@ class SweepRunner:
             # A stored worker-crash row (older stores may hold them) is
             # not a satisfied point: resume retries it.
             if not (resume and self.hashes[i] in store
-                    and not _is_worker_crash(store.get(self.hashes[i])))
+                    and not is_worker_crash_error(
+                        store.get(self.hashes[i]).error))
         ]
-        payloads = self._payloads(pending, capture_traces)
-        batch_stats: Dict[str, int] = {}
-        if batch_size is not None and batch_size != 1:
-            grouped, order = group_batch_payloads(
-                payloads, [self.specs[i] for i in pending], batch_size
-            )
-            raw = self._execute(grouped, parallel, pool=pool, policy=policy)
-            flat, batch_stats = flatten_batch_records(raw)
-            records: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-            for position, record in zip(order, flat):
-                records[position] = record
-            for position, record in enumerate(records):
-                if record is None:  # a worker returned a short batch
-                    records[position] = _worker_failure(
-                        payloads[position],
-                        RuntimeError("batch worker returned no record"),
-                        self.base.to_dict(),
-                    )
-        else:
-            records = self._execute(
-                payloads, parallel, pool=pool, policy=policy
-            )
+        # Warm-worker tasks: only the override dicts travel; every
+        # worker resolves them against the shared base spec it parsed
+        # once at initialisation.
+        records, batch_stats = execute_payloads(
+            [
+                {
+                    "spec_overrides": self.overrides[i],
+                    "overrides": self.overrides[i],
+                    "traces": list(capture_traces),
+                }
+                for i in pending
+            ],
+            [self.specs[i] for i in pending],
+            batch_size=batch_size,
+            parallel=parallel,
+            max_workers=self.max_workers,
+            base_spec=self.base.to_dict(),
+            pool=pool,
+            policy=policy,
+        )
         computed: Dict[int, RunResult] = {}
         # One batched store transaction: appends buffer and hit the disk
         # with a single fsync instead of one per point.
@@ -1423,7 +1363,8 @@ class SweepRunner:
                 # Deterministic outcomes (successes *and* infeasible-
                 # scenario error rows) are cacheable; worker crashes are
                 # transient and must stay recomputable on the next resume.
-                if store is not None and not _is_worker_crash(result):
+                if store is not None and \
+                        not is_worker_crash_error(result.error):
                     store.add(result, overwrite=True)
         points = []
         for i in range(len(self.specs)):
@@ -1432,25 +1373,16 @@ class SweepRunner:
             else:
                 cached = store.get(self.hashes[i])
                 points.append(cached.with_context(index=i, spec=self.specs[i]))
-        # One shared progress stream: the event always flows through the
-        # obs layer (metrics + trace instant), then to any caller hook.
-        event = BatchProgress(
+        publish_progress(
+            progress,
+            batch_stats,
             label=self.base.name,
             batch=1,
             computed=len(computed),
             cached=len(points) - len(computed),
             errors=sum(1 for p in points if p.error is not None),
             total=len(points),
-            members=batch_stats.get("members")
-            if batch_stats else None,
-            passes=batch_stats.get("passes"),
-            advanced=batch_stats.get("advanced"),
-            settled=batch_stats.get("settled"),
-            diverged=batch_stats.get("diverged"),
         )
-        obs.record_progress(event)
-        if progress is not None:
-            progress(event)
         sweep_span.annotate(
             computed=len(computed), cached=len(points) - len(computed),
         )

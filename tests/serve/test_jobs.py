@@ -1,6 +1,7 @@
 """Job records, deterministic ids, and JSONL job persistence."""
 
 import json
+import os
 
 import pytest
 
@@ -84,6 +85,37 @@ def test_torn_final_line_is_dropped_and_compacted(tmp_path):
     # The torn tail was compacted away, so a re-load is clean JSON.
     for line in path.read_text().splitlines():
         json.loads(line)
+
+
+def test_compaction_fsyncs_the_temp_file_before_the_rename(
+    tmp_path, monkeypatch
+):
+    """A crash right after compaction's rename must not leave an empty
+    or partial job log: the temp file is durable before it replaces the
+    original."""
+    path = tmp_path / "jobs.jsonl"
+    store = JobStore(path)
+    store.save(JobRecord(job_id="job-abc", kind="run", status="done"))
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.fspath(src)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    store.compact()
+    # Exactly one fsync, then the rename — and the fsynced inode is the
+    # one now sitting at the job log's path.
+    assert events == [
+        ("fsync", path.stat().st_ino), ("replace", f"{path}.tmp"),
+    ]
+    assert JobStore(path).records() == [store.get("job-abc")]
 
 
 def test_interior_corruption_raises_instead_of_skipping(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SpecError
 from repro.spec import ScenarioSpec, SweepRunner
 from repro.spec.presets import fig7_spec
-from repro.spec.runner import run_scenario_payload
+from repro.spec.runner import run_point_payload
 from repro.spec.specs import expand_grid
 
 
@@ -39,7 +39,7 @@ def test_warm_pool_serves_multiple_batches():
         first = pool.run(payloads)
         second = pool.run(payloads)  # same workers, second batch
     assert [r["metrics"] for r in first] == [r["metrics"] for r in second]
-    direct = execute_payloads(
+    direct, _stats = execute_payloads(
         [{"spec": base.with_overrides({"frequency": f}).to_dict(),
           "overrides": {"frequency": f}} for f in (4.7, 9.4)],
         parallel=False,
@@ -108,7 +108,7 @@ def test_override_only_payload_without_base_is_an_error_row():
     resolves to an error record, not a crash."""
     from repro.spec.runner import execute_payloads
 
-    records = execute_payloads(
+    records, _stats = execute_payloads(
         [{"spec_overrides": {"frequency": 4.7},
           "overrides": {"frequency": 4.7}}],
         parallel=False,
@@ -229,14 +229,14 @@ def test_worker_records_build_errors_per_point():
         "duration": 0.01,
         "dt": 1e-3,
     })
-    summary = run_scenario_payload(spec.to_dict())
+    summary = run_point_payload({"spec": spec.to_dict()})["metrics"]
     assert summary["error"] is not None
     assert "pv-outdoor" in summary["error"]
 
 
 def test_worker_is_pure_payload_in_payload_out():
     payload = small_base().to_dict()
-    summary = run_scenario_payload(payload)
+    summary = run_point_payload({"spec": payload})["metrics"]
     assert summary["completed"] is True
     assert summary["vcc_max"] > 3.0
     # The payload round-trips untouched through the worker.

@@ -279,6 +279,34 @@ def test_explore_command_space_file(tmp_path, capsys):
     assert "best (min completion_time" in capsys.readouterr().out
 
 
+def test_explore_command_serial_supervision(tmp_path, capsys):
+    """--max-retries supervises a --serial exploration just as it does a
+    pooled one: a point that crashes on every attempt is quarantined
+    (and stored), not left as a transient crash row."""
+    from repro import faults
+    from repro.results import ResultStore
+
+    store_path = str(tmp_path / "explore.jsonl")
+    with faults.active({"worker.crash": 1.0}):
+        code = main([
+            "explore", "--serial", "--max-retries", "1",
+            "--duration", "0.6",
+            "--axis", "capacitance=log:1.2e-5:4.7e-5",
+            "--objective", "completion_time", "--require", "completed",
+            "--optimizer", "random", "--budget", "3",
+            "--output", store_path,
+        ])
+    out = capsys.readouterr().out
+    assert code == 1  # nothing feasible: every evaluation crashed
+    assert "3 computed (3 at full fidelity), 0 cached, 3 error(s)" in out
+    assert f"3 result(s) in {store_path}" in out
+    rows = ResultStore(store_path).results()
+    assert len(rows) == 3
+    assert all(
+        r.error.startswith("quarantined: 2 attempt(s) crashed") for r in rows
+    )
+
+
 def test_explore_command_rejects_bad_configuration(capsys):
     # No search space at all.
     assert main(["explore", "--budget", "2"]) == 2
